@@ -7,13 +7,21 @@ generated by two affine maps: L descends to the first left subtree,
 R to the first right subtree (two levels down).  Joins are searched by
 enumerating inverse-map ancestors to a bounded depth; an empty result
 bounds the search, it proves nothing.
+
+Searches cost what the bit length of their inputs asks, not what the
+cap or 2^depth allows: `is_subtree` steps the level edges by additions
+and stops once the shift-lemma cutoff or the range test shows that no
+later level can hold the child, and `self_containment` prunes every
+branch that has left the window around its fixed points.  A subtree
+miss (None) reads "not found up to the cap", and it takes O(bit length)
+levels to establish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldring import Atom, GoldInt, MapWord, _apply_atom, fib
+from .goldring import PHI_CUBED, Atom, GoldInt, MapWord, _apply_atom, gold_sign
 from .fibword import U, letter_at, u_count
 from .tree import FibTree
 from .wythoff import u
@@ -58,22 +66,74 @@ def is_subtree(
 ) -> SubtreeWitness | None:
     """First witness that child sits inside parent, scanning levels 1..cap.
 
-    Per level the candidate is unique and O(1) to test: a u-node whose
-    v-child carries child.b must have a parent labeled child.b - child.a,
-    pinning its u-count k; accept when k is in range and the k-th u-node
-    carries child.a.  None means not found below the cap.
+    Write (c, d) for the child, D = d - c (``rank`` below), E_n = lo(n) - 1
+    and H_n = hi(n) for the parent's level edges.  E and H follow the
+    Fibonacci recursion, so each level costs a few additions.  At level n
+    a u-node whose v-child carries d has a parent labeled D, which pins
+    its u-count k = D - E_{n-1}.  The level holds the witness when
+    1 <= k <= F_{n+1} (equivalently E_{n-1} < D <= H_{n-1}) and
+    E_n + u(k) == c; the witness sits at pos = u(k) = c - E_n.
+
+    Cutoff.  With eps_n = E_n - E_{n-1}*phi, k*phi = D*phi - E_n + eps_n,
+    so for k >= 1 the test reads floor(D*phi + eps_n) == c.  Since E is a
+    Fibonacci sequence, eps_{n+1} = (1 - phi)*eps_n: |eps_n| shrinks by a
+    factor phi per level and its sign alternates (eps is 0 only for the
+    parent F[1,2]).  For D != 0, frac = D*phi - u(D) lies in (0, 1), and
+    once |eps_n| < min(frac, 1 - frac), 0 < frac + eps_m < 1 for every
+    m >= n: from level n on the test is the constant u(D) == c.  A false
+    constant leaves nothing to find; a true one makes the first later
+    level in range the witness.  For D = 0 the test reads
+    floor(eps_n) == c; once |eps_n| < 1 it is 0 for eps_n >= 0 and -1
+    below, so only c in {0, -1} can still hit, at the levels where the
+    sign of eps_n fits.  The bounds are exact gold_sign tests.  They hold
+    within O(bit length) levels: the norm |p^2 - pq - q^2| >= 1 of
+    p - q*phi gives min(frac, 1 - frac) >= 1/(1 + sqrt(5)*|D|), while
+    |eps_1| <= |E_0|*phi + |E_1|.
+
+    Range.  When E_{n-1}, E_n >= max(D, 0), E is nondecreasing from n on
+    and stays >= D; when H_{n-1}, H_n < min(D, 1), H is nonincreasing and
+    stays < D.  Either way no later level is in range, and the scan stops.
+    A nonzero Fibonacci sequence settles into one sign within O(bit
+    length) terms and then grows geometrically, so in every case the scan
+    ends within O(bit length of the labels) levels, whatever the cap.
+    None means "not found up to the cap".
     """
     if child == parent:
         return SubtreeWitness(0, 1, MapWord())
-    c, d = child.a, child.b
+    c, rank = child.a, child.b - child.a
+    # (E_{n-1}, E_n) and (H_{n-1}, H_n) at level n = 1
+    e0, e1 = parent.a - 1, parent.b - 2
+    h0, h1 = parent.a, parent.b
+    if rank:
+        ud = u(rank)
+        # min(frac, 1 - frac) with frac = rank*phi - u(rank)
+        if gold_sign(GoldInt(-2 * ud - 1, 2 * rank)) < 0:
+            margin = GoldInt(-ud, rank)
+        else:
+            margin = GoldInt(1 + ud, -rank)
+    else:
+        margin = GoldInt(1, 0)
+    settled = False
     for n in range(1, level_cap + 1):
-        k = (d - c) - (parent.lo(n - 1) - 1)
-        if not 1 <= k <= fib(n + 1):
-            continue
-        if parent.lo(n) - 1 + u(k) != c:
-            continue
-        pos = u(k)
-        return SubtreeWitness(n, pos, _word_to(n, pos))
+        if min(e0, e1) >= max(rank, 0) or max(h0, h1) < min(rank, 1):
+            return None
+        eps = GoldInt(e1, -e0)
+        if not settled and gold_sign(margin - eps) > 0 and gold_sign(margin + eps) > 0:
+            settled = True
+            if rank and c != ud or not rank and c not in (0, -1):
+                return None
+        if e0 < rank <= h0:
+            if not settled:
+                hit = e1 + u(rank - e0) == c
+            elif rank:
+                hit = True
+            else:
+                hit = (gold_sign(eps) >= 0) == (c == 0)
+            if hit:
+                pos = c - e1
+                return SubtreeWitness(n, pos, _word_to(n, pos))
+        e0, e1 = e1, e0 + e1
+        h0, h1 = h1, h0 + h1
     return None
 
 
@@ -90,39 +150,51 @@ def self_containment(t: FibTree, depth: int) -> list[MapWord]:
 
     Nonempty only for F[1,2] (pure-L words, fixed point phi^3) and
     F[0,0] (pure-R words, fixed point 0).
+
+    The words are enumerated atom by atom from z0 = a + b*phi, pruning
+    every branch that can no longer come back.  On the reals
+    L(x) - x = (phi - 1)(x - phi^3) and R(x) - x = phi*x, and both maps
+    keep (phi^3, oo) and (-oo, 0) invariant.  So a value x > max(phi^3, z0)
+    grows under every later atom and never returns to z0, and neither
+    does a value x < min(0, z0), which falls under every later atom.  Two
+    gold_sign tests decide the prune.  L^-1 and R^-1 map [0, phi^3] onto
+    [phi, phi^3] and [0, phi], so inside that window only one of L, R
+    keeps a value there (both only at phi itself): for 0 <= z0 <= phi^3
+    the search visits O(depth) words instead of 2^depth.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     z0 = t.gold()
     hits: list[MapWord] = []
-
-    def extend(atoms: tuple[Atom, ...], value: GoldInt) -> None:
-        # value == apply(atoms, z0); prepending an atom applies it on top.
+    # (atoms, value) with value == apply(atoms, z0); prepending an atom
+    # applies it on top.  An explicit stack, since a pruned search can
+    # go deeper than Python's recursion limit.
+    stack: list[tuple[tuple[Atom, ...], GoldInt]] = [((), z0)]
+    while stack:
+        atoms, value = stack.pop()
         if atoms and value == z0:
             hits.append(MapWord(atoms))
         if len(atoms) == depth:
-            return
+            continue
+        side = gold_sign(value - z0)
+        if side > 0 and gold_sign(value - PHI_CUBED) > 0 or side < 0 and gold_sign(value) < 0:
+            continue
         for a in (Atom.L, Atom.R):
-            extend((a,) + atoms, _apply_atom(a, value))
-
-    extend((), z0)
+            stack.append(((a,) + atoms, _apply_atom(a, value)))
     hits.sort(key=lambda w: (len(w), w.tokens()))
     return hits
 
 
-def _ancestors(t: FibTree, depth: int) -> set[tuple[int, int]]:
-    """Identities reachable from t by inverse words of length <= depth (t included)."""
-    out: set[tuple[int, int]] = set()
-
-    def extend(length: int, value: GoldInt) -> None:
-        out.add((value.a, value.b))
-        if length == depth:
-            return
-        for a in (Atom.LINV, Atom.RINV):
-            extend(length + 1, _apply_atom(a, value))
-
-    extend(0, t.gold())
-    return out
+def _widen(seen: set[tuple[int, int]], frontier: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """One inverse step from the frontier: add the new identities to seen, return them."""
+    fresh = set()
+    for a, b in frontier:
+        for atom in (Atom.LINV, Atom.RINV):
+            z = _apply_atom(atom, GoldInt(a, b))
+            if (z.a, z.b) not in seen:
+                fresh.add((z.a, z.b))
+    seen |= fresh
+    return fresh
 
 
 def least_upper_bound(
@@ -136,17 +208,21 @@ def least_upper_bound(
     to level_cap, default 4*depth + 2).  Stopping at the first nonempty
     radius keeps far-off incomparable ancestors out of the answer.  An
     empty list means nothing was found within the depth, not that no
-    upper bound exists.
+    upper bound exists.  Each radius steps only the identities first
+    reached at the previous one: A(d) = A(d-1) | step(A(d-1) - A(d-2)).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if level_cap is None:
         level_cap = 4 * depth + 2
-    for d in range(depth + 1):
-        common = sorted(_ancestors(t1, d) & _ancestors(t2, d))
-        if common:
+    seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
+    front1, front2 = set(seen1), set(seen2)
+    for _ in range(depth):
+        if seen1 & seen2:
             break
-    else:
+        front1, front2 = _widen(seen1, front1), _widen(seen2, front2)
+    common = sorted(seen1 & seen2)
+    if not common:
         return []
     trees = [FibTree(a, b) for a, b in common]
     return [

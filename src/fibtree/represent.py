@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .goldring import GoldInt, fib, gold_sign
+from .goldring import GoldInt, gold_sign
 from .fibword import U, letter_at, u_count
 from .tree import FibTree, NodeRef, build_levels, branch_sequence, node_label, parent_label
 from .wythoff import FibSeq, reference_index, u, u_inverse
@@ -67,17 +67,24 @@ def _require_full(t: FibTree) -> None:
 def find_interval_level(t: FibTree, lo: int, hi: int) -> int:
     """Smallest level whose label interval contains [lo..hi].
 
-    Containment is monotone: once the interval fits, it fits at every
-    higher level.
+    A linear first-fit scan over levels 0..10000, stepping the level
+    edges by the Fibonacci recursion.  Containment is not monotone in
+    the level: F[-60,38] has level 0 = [-60] and level 1 = [37..38], so
+    [-60..-60] fits at level 0, not at level 1, and fits again higher up.
+    A bisection over levels would therefore be unsound.
     """
     _require_full(t)
     if lo > hi:
         raise ValueError(f"empty interval [{lo}..{hi}]")
+    # (E_n, E_{n+1}) with E_n = lo(n) - 1, and (hi(n), hi(n+1))
+    (e0, e1), (h0, h1) = _edge_seq(t).pair(0), t.seq().pair(0)
     n = 0
-    while not (t.lo(n) <= lo and hi <= t.hi(n)):
+    while not (e0 < lo and hi <= h0):
         n += 1
         if n > 10_000:
             raise RuntimeError(f"interval [{lo}..{hi}] not reached by level 10000 in {t}")
+        e0, e1 = e1, e0 + e1
+        h0, h1 = h1, h0 + h1
     return n
 
 
@@ -135,22 +142,22 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
     if cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
-    edge = _edge_seq(t)
     if s.is_zero():
-        target_u, j, shift = 0, None, 0
+        want, target_u, shift = 1, 0, 0
     else:
-        j, shift = _row_alignment(s)
-        target_u = u(j)
+        want, shift = _row_alignment(s)
+        target_u = u(want)
+    # (e(n-2), e(n-1)) and (F_n, F_{n+1}) at level n = 1
+    (e0, e1), (f0, f1) = _edge_seq(t).pair(-1), (1, 1)
     for n in range(1, level_cap + 1):
-        i = (1 if j is None else j) - edge.term(n - 2)
-        if not 1 <= i <= fib(n):
-            continue
-        if u(i) + edge.term(n - 1) != target_u:
-            continue
-        pos = u(u(i))
-        occ = Occurrence(n, pos, s.pair(shift), shift, True)
-        _verify_occurrence(t, s, occ)
-        return occ
+        i = want - e0
+        if 1 <= i <= f0 and u(i) + e1 == target_u:
+            pos = u(u(i))
+            occ = Occurrence(n, pos, s.pair(shift), shift, True)
+            _verify_occurrence(t, s, occ)
+            return occ
+        e0, e1 = e1, e0 + e1
+        f0, f1 = f1, f0 + f1
     raise ValueError(
         f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
     )

@@ -1,11 +1,14 @@
+import random
 from itertools import product
 
 import pytest
 
+from fibtree import order
 from fibtree.fibword import U
-from fibtree.goldring import Atom, MapWord
+from fibtree.goldring import Atom, MapWord, _apply_atom, fib
 from fibtree.order import is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
+from fibtree.wythoff import u
 
 T01 = FibTree(0, 1)
 T12 = FibTree(1, 2)
@@ -138,3 +141,198 @@ def test_lub_results_are_upper_bounds():
         for g in least_upper_bound(t1, t2, 5):
             assert is_subtree(t1, g, level_cap=30) is not None
             assert is_subtree(t2, g, level_cap=30) is not None
+
+
+# ---------------------------------------------------------------- reference scans
+#
+# Straight per-level forms of the searches: every level up to the cap for
+# is_subtree, every forward word up to the depth for self_containment,
+# every ancestor set rebuilt from scratch for least_upper_bound.
+
+
+def _reference_subtree(child, parent, cap):
+    """(level, pos) of the first witness by the closed form at every level, or None."""
+    if child == parent:
+        return 0, 1
+    c, d = child.a, child.b
+    for n in range(1, cap + 1):
+        k = (d - c) - (parent.lo(n - 1) - 1)
+        if 1 <= k <= fib(n + 1) and parent.lo(n) - 1 + u(k) == c:
+            return n, u(k)
+    return None
+
+
+def _assert_subtree_matches(child, parent, cap):
+    got = is_subtree(child, parent, cap)
+    want = _reference_subtree(child, parent, cap)
+    assert (None if got is None else (got.level, got.pos)) == want, (child, parent, cap)
+    if got is not None:
+        assert got.word.is_forward()
+        assert got.word.apply(parent.gold()) == child.gold()
+    return got
+
+
+def _reference_self_containment(t, depth):
+    z0 = t.gold()
+    hits = []
+
+    def extend(atoms, value):
+        if atoms and value == z0:
+            hits.append(MapWord(atoms))
+        if len(atoms) < depth:
+            for a in (Atom.L, Atom.R):
+                extend((a,) + atoms, _apply_atom(a, value))
+
+    extend((), z0)
+    return sorted(hits, key=lambda w: (len(w), w.tokens()))
+
+
+def _reference_ancestors(t, depth):
+    out = set()
+
+    def extend(length, value):
+        out.add((value.a, value.b))
+        if length < depth:
+            for a in (Atom.LINV, Atom.RINV):
+                extend(length + 1, _apply_atom(a, value))
+
+    extend(0, t.gold())
+    return out
+
+
+PARENTS = [
+    T01,
+    FibTree(1, 1),
+    FibTree(-1, 2),
+    FibTree(1, 0),
+    FibTree(-60, 38),
+    FibTree(377, -233),
+    T12,  # on the upper strip edge: eps_n = 0 at every level
+    T00,  # on the lower strip edge
+    FibTree(3, 3),  # positive side
+    FibTree(5, 40),
+    FibTree(-2, 1),  # nonpositive side
+    FibTree(4, -30),
+]
+
+
+def test_is_subtree_matches_reference_scan_random():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        parent = rng.choice(PARENTS)
+        if rng.random() < 0.2:
+            parent = FibTree(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        roll = rng.random()
+        if roll < 0.25:
+            rank = rng.randint(-10**6, 10**6)  # the Wythoff pair at rank D, or next to it
+            c = u(rank) + rng.choice((0, 0, 1, -1))
+        elif roll < 0.35:
+            rank, c = 0, rng.choice((0, -1, rng.randint(-40, 40)))  # D = 0
+        elif roll < 0.7:
+            rank, c = rng.randint(-60, 60), rng.randint(-40, 40)
+        else:
+            rank, c = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+        cap = rng.choice((1, 2, 10, 40, 100, 300))
+        _assert_subtree_matches(FibTree(c, c + rank), parent, cap)
+
+
+def test_is_subtree_matches_reference_scan_on_planted_hits():
+    rng = random.Random(77)
+    for _ in range(300):
+        parent = rng.choice(PARENTS)
+        atoms = tuple(rng.choice((Atom.L, Atom.R)) for _ in range(rng.randint(1, 30)))
+        child = subtree_at(parent, MapWord(atoms))
+        got = _assert_subtree_matches(child, parent, rng.choice((60, 300)))
+        assert got is not None
+
+
+def test_is_subtree_matches_reference_scan_at_edge_cases():
+    for parent in PARENTS:
+        for c in range(-3, 3):
+            for rank in (0, 1, -1, 2, 3, -3, 5, 8):
+                for cap in (1, 2, 3, 7, 300):
+                    _assert_subtree_matches(FibTree(c, c + rank), parent, cap)
+        for rank in range(-30, 31):
+            _assert_subtree_matches(FibTree(u(rank), u(rank) + rank), parent, 300)
+
+
+def test_is_subtree_matches_reference_scan_on_thousand_digit_labels():
+    rng = random.Random(1000)
+    for _ in range(3):
+        rank = rng.randint(10**999, 10**1000)
+        for c in (u(rank), u(rank) + 1):
+            _assert_subtree_matches(FibTree(c, c + rank), T01, 300)
+        big = FibTree(-rng.randint(10**999, 10**1000), rng.randint(10**999, 10**1000))
+        atoms = tuple(rng.choice((Atom.L, Atom.R)) for _ in range(12))
+        assert _assert_subtree_matches(subtree_at(big, MapWord(atoms)), big, 40) is not None
+    # a 10^3-digit rank is first in range near level 4790
+    rank = 10**1000 + 7
+    got = _assert_subtree_matches(FibTree(u(rank), u(rank) + rank), T01, 5000)
+    assert got is not None and got.level > 4700
+
+
+def test_is_subtree_matches_rule_built_levels_at_cap_20():
+    cap = 20
+    for parent in (T01, FibTree(-1, 2), FibTree(3, 3), FibTree(-2, 1)):
+        levels = build_levels(parent, cap)
+        first = {}
+        for n in range(1, cap + 1):
+            above = levels[n - 1]
+            for label, letter, ppos in levels[n]:
+                if letter == U:
+                    first.setdefault((label, above[ppos - 1][0]), n)
+        sampled = random.Random(str(parent)).sample(sorted(first), 300)
+        grid = [(c, rank) for c in range(-15, 16) for rank in range(-15, 16)]
+        for c, rank in sampled + grid:
+            child = FibTree(c, c + rank)
+            if child == parent:
+                continue
+            got = is_subtree(child, parent, cap)
+            assert (got.level if got else None) == first.get((c, rank)), (child, parent)
+
+
+def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
+    calls = 0
+    real_u = order.u
+
+    def counting_u(n):
+        nonlocal calls
+        calls += 1
+        return real_u(n)
+
+    monkeypatch.setattr(order, "u", counting_u)
+    known = {(c, d) for c in range(-30, 31) for d in range(-30, 31)}
+    misses = [(7, 4)] + [cd for cd in sorted(known) if is_subtree(FibTree(*cd), T01, 40) is None][::37]
+    for c, d in misses:
+        calls = 0
+        assert is_subtree(FibTree(c, d), T01, level_cap=5000) is None
+        assert calls <= 64, (c, d, calls)
+
+
+def test_self_containment_matches_unpruned_enumeration():
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            t = FibTree(a, b)
+            assert self_containment(t, 8) == _reference_self_containment(t, 8)
+    rng = random.Random(12)
+    big = [FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(2)]
+    big.append(FibTree(10**1000, -(10**1000 * 618033988) // 10**9))  # near z = 0
+    for t in [T12, T00, T01, FibTree(1, 1), FibTree(-3, 5), FibTree(7, -4)] + big:
+        for depth in (1, 2, 11, 12):
+            assert self_containment(t, depth) == _reference_self_containment(t, depth)
+
+
+def test_lub_matches_ancestor_sets_rebuilt_per_radius():
+    rng = random.Random(5)
+    for _ in range(60):
+        t1 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+        t2 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+        depth = rng.randint(1, 7)
+        common = set()
+        for d in range(depth + 1):
+            common = _reference_ancestors(t1, d) & _reference_ancestors(t2, d)
+            if common:
+                break
+        got = least_upper_bound(t1, t2, depth)
+        assert {(x.a, x.b) for x in got} <= common
+        assert bool(got) == bool(common)

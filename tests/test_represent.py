@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from fibtree.goldring import GoldInt, gold_sign
+from fibtree.goldring import GoldInt, fib, gold_sign
 from fibtree.represent import (
     Occurrence,
     TreeClass,
+    _edge_seq,
+    _row_alignment,
     classify,
     count_occurrences,
     find_interval_level,
@@ -11,7 +15,7 @@ from fibtree.represent import (
     verify_lemma_shift,
 )
 from fibtree.tree import FibTree, NodeRef, branch_sequence
-from fibtree.wythoff import FibSeq
+from fibtree.wythoff import FibSeq, u
 
 T01 = FibTree(0, 1)
 T12 = FibTree(1, 2)
@@ -62,6 +66,107 @@ def test_find_interval_level_monotone():
     n = find_interval_level(T01, -25, 60)
     for m in range(n, n + 6):
         assert T01.lo(m) <= -25 and 60 <= T01.hi(m)
+
+
+def test_find_interval_level_is_not_monotone():
+    # level 0 of F[-60,38] is [-60], level 1 is [37..38]: a fit can be lost
+    t = FibTree(-60, 38)
+    assert classify(t) is TreeClass.REPRESENTS_Z
+    assert (t.lo(0), t.hi(0), t.lo(1), t.hi(1)) == (-60, -60, 37, 38)
+    assert find_interval_level(t, -60, -60) == 0
+    assert find_interval_level(t, -60, 37) > 1
+
+
+def _reference_interval_level(t, lo, hi):
+    """First level whose closed-form interval contains [lo..hi], level by level."""
+    n = 0
+    while not (t.lo(n) <= lo and hi <= t.hi(n)):
+        n += 1
+        if n > 10_000:
+            raise RuntimeError(f"interval [{lo}..{hi}] not reached by level 10000 in {t}")
+    return n
+
+
+def _reference_find_sequence(t, s, cap):
+    """The level scan with every edge term and F_n rebuilt through fib()."""
+    edge = _edge_seq(t)
+    if s.is_zero():
+        target_u, j, shift = 0, None, 0
+    else:
+        j, shift = _row_alignment(s)
+        target_u = u(j)
+    for n in range(1, cap + 1):
+        i = (1 if j is None else j) - edge.term(n - 2)
+        if 1 <= i <= fib(n) and u(i) + edge.term(n - 1) == target_u:
+            return Occurrence(n, u(u(i)), s.pair(shift), shift, True)
+    return None
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_find_interval_level_matches_reference_scan():
+    rng = random.Random(31)
+    trees = [T01, FibTree(1, 1), FibTree(-60, 38), FibTree(-1, 2)]
+    for _ in range(400):
+        t = rng.choice(trees)
+        if rng.random() < 0.3:
+            t = FibTree(rng.randint(-60, 60), rng.randint(-60, 60))
+            if classify(t) is not TreeClass.REPRESENTS_Z:
+                continue
+        digits = rng.choice((1, 2, 6, 100))
+        lo = rng.randint(-(10**digits), 10**digits)
+        hi = lo + rng.randint(0, 10**digits)
+        assert find_interval_level(t, lo, hi) == _reference_interval_level(t, lo, hi)
+    for t in trees:
+        lo = rng.randint(-(10**1000), 10**1000)
+        hi = lo + rng.randint(0, 10**1000)
+        assert find_interval_level(t, lo, hi) == _reference_interval_level(t, lo, hi)
+    b = rng.randint(10**999, 10**1000)
+    t = FibTree(1 - u(b), b)
+    for lo, hi in ((0, 0), (-5, 9), (-(10**1000), 10**999), (10**999, 10**1000 + 3)):
+        assert find_interval_level(t, lo, hi) == _reference_interval_level(t, lo, hi)
+    # past 10000 levels both give up with the same error
+    lo, hi = -(10**2200), 10**2200
+    assert _outcome(find_interval_level, T01, lo, hi) == _outcome(_reference_interval_level, T01, lo, hi)
+
+
+def test_find_sequence_matches_reference_scan():
+    rng = random.Random(32)
+    trees = list(SAMPLES) + [T12, T00, FibTree(2, 2), FibTree(-60, 38)]
+    for _ in range(400):
+        t = rng.choice(trees)
+        digits = rng.choice((1, 2, 3, 20, 50))
+        s = FibSeq(rng.randint(-(10**digits), 10**digits), rng.randint(-(10**digits), 10**digits))
+        cap = rng.choice((10, 60, 20 * digits + 200))
+        cls = classify(t)
+        if cls is TreeClass.POSITIVE_SIDE and s.sign() <= 0 or cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
+            continue  # a domain error, raised before any scan
+        want = _outcome(_reference_find_sequence, t, s, cap)
+        got = _outcome(find_sequence, t, s, cap)
+        if want is None:
+            assert got[0] is ValueError and "level cap" in got[1]
+        else:
+            assert got == want
+
+
+def test_find_sequence_matches_reference_scan_on_thousand_digit_labels():
+    rng = random.Random(1000)
+    b = rng.randint(10**999, 10**1000)
+    t = FibTree(1 - u(b), b)  # a + b*phi = 1 - frac(b*phi): RepresentsZ with 10^3-digit labels
+    assert classify(t) is TreeClass.REPRESENTS_Z
+    for seed in ((-7, 3), (0, 0)):
+        s = FibSeq(*seed)
+        occ = find_sequence(t, s, level_cap=6000)
+        assert occ == _reference_find_sequence(t, s, 6000)
+        assert occ.level > 2000
+    # a 10^3-digit seed finds no row alignment; both scans fail the same way
+    s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(10**999, 10**1000))
+    assert _outcome(find_sequence, T01, s, 20200) == _outcome(_reference_find_sequence, T01, s, 20200)
 
 
 def test_find_interval_level_rejects():
