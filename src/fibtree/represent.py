@@ -6,24 +6,32 @@ Fibonacci sequence appears in the tree; at or below 0, only nonpositive
 material appears; at or above phi^3, only positive.  For trees in the
 middle class, `find_sequence` locates a concrete ascending branch
 realizing any target sequence, constructively.
+
+Both searches cost what the bit length of their inputs asks, not one
+step per level: a target's row start is located from the bit lengths of
+its seed, and the level scans step the level edges by additions only
+until the edges settle, then jump to within a few levels of the first
+level whose interval can hold the answer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 from .goldring import GoldInt, gold_sign
 from .fibword import U, letter_at, u_count
 from .tree import FibTree, NodeRef, build_levels, branch_sequence, node_label, parent_label
-from .wythoff import FibSeq, reference_index, u, u_inverse
+from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u, u_inverse
 
 DEFAULT_LEVEL_CAP = 60
 
-# How many consecutive-term pairs of the target to scan for a row start,
-# and how many branch terms to replay when verifying a hit.
-_ALIGN_SCAN = 400
+# How many branch terms to replay when verifying a hit, and the shortest
+# skip over out-of-range levels worth four FibSeq.term calls: shorter
+# skips are cheaper to step through by additions.
 _REPLAY_TERMS = 10
+_MIN_JUMP = 32
 
 
 class TreeClass(Enum):
@@ -67,25 +75,18 @@ def _require_full(t: FibTree) -> None:
 def find_interval_level(t: FibTree, lo: int, hi: int) -> int:
     """Smallest level whose label interval contains [lo..hi].
 
-    A linear first-fit scan over levels 0..10000, stepping the level
-    edges by the Fibonacci recursion.  Containment is not monotone in
-    the level: F[-60,38] has level 0 = [-60] and level 1 = [37..38], so
-    [-60..-60] fits at level 0, not at level 1, and fits again higher up.
-    A bisection over levels would therefore be unsound.
+    The level is the first index n with E_n < lo and hi <= H_n, found by
+    `_in_range`: level by level while the edges are unsettled, then one
+    jump to within a few levels of the answer.  Containment is not
+    monotone in the level before the edges settle: F[-60,38] has level
+    0 = [-60] and level 1 = [37..38], so [-60..-60] fits at level 0, not
+    at level 1, and fits again higher up.  In a RepresentsZ tree E tends
+    to -infinity and H to +infinity, so every interval is reached.
     """
     _require_full(t)
     if lo > hi:
         raise ValueError(f"empty interval [{lo}..{hi}]")
-    # (E_n, E_{n+1}) with E_n = lo(n) - 1, and (hi(n), hi(n+1))
-    (e0, e1), (h0, h1) = _edge_seq(t).pair(0), t.seq().pair(0)
-    n = 0
-    while not (e0 < lo and hi <= h0):
-        n += 1
-        if n > 10_000:
-            raise RuntimeError(f"interval [{lo}..{hi}] not reached by level 10000 in {t}")
-        e0, e1 = e1, e0 + e1
-        h0, h1 = h1, h0 + h1
-    return n
+    return next(_in_range(t, lo, hi, 0))[0]
 
 
 def _edge_seq(t: FibTree) -> FibSeq:
@@ -93,24 +94,125 @@ def _edge_seq(t: FibTree) -> FibSeq:
     return FibSeq(t.a - 1, t.b - 2)
 
 
+def _steps_below(g0: int, g1: int, y: int) -> int:
+    """A count s >= 0 with G_(k+1), ..., G_(k+s) < y, given G_k, G_(k+1) >= 0.
+
+    For j >= 0, G_(k+1+j) = G_k*F_j + G_(k+1)*F_(j+1) <= M*F_(j+2) <= M*phi^(j+1)
+    with M = max(G_k, G_(k+1)).  Since M < 2^bitlen(M) and y >= 2^(bitlen(y)-1),
+    G_(k+1+j) < y whenever j + 1 <= (bitlen(y) - 1 - bitlen(M))*log_phi(2),
+    and LOG_PHI_2 is below log_phi(2).  Conversely G_(k+1+j) >= M*F_j >= M*phi^(j-2),
+    so the first index with G >= y is at most 7 + bitlen(y)/40000 past k + s.
+    """
+    bits = y.bit_length() - 1 - max(g0, g1).bit_length()
+    return max(0, bits * LOG_PHI_2[0] // LOG_PHI_2[1])
+
+
+def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """Every index n >= k with E_n < lo and hi <= H_n, in order, as (n, E_n, E_(n+1)); k <= 0.
+
+    E_n = lo(n) - 1 and H_n = hi(n) are the level edges; both follow the
+    Fibonacci recursion, so each index costs a few additions.  The scan
+    goes index by index until both edge pairs are settled: a pair
+    (G_n, G_(n+1)) with both terms >= 0 (rising) or both <= 0 (falling;
+    E = 0 counts as rising, H = 0 as falling) makes G monotone from n + 1
+    on, in that direction.  A nonzero Fibonacci sequence settles within
+    O(bit length) indices of its seed.  From then on each half of the
+    range test is monotone in the index:
+
+    - E_n < lo fails forever once it fails for rising E, and holds
+      forever once it holds for falling E; hi <= H_n likewise with the
+      roles swapped.  A half that can only fail and fails at n + 1 ends
+      the scan: no later index is in range.
+    - A half that can only come true and is false at n + 1 is false for
+      the next `_steps_below` indices (G = -E with y = 1 - lo, or G = H
+      with y = hi).  Those indices fail the range test, so the scan jumps
+      past them, evaluates both edge pairs there with `FibSeq.pair`, and
+      resumes index by index; within 7 indices plus one per 40,000 bits
+      of the bound it reaches the first index in range.  Short jumps are
+      stepped instead, so small inputs evaluate nothing extra.
+
+    In a RepresentsZ tree E is falling and H rising once settled, so the
+    scan never ends and yields every index from its first hit on.
+    """
+    edge, top = _edge_seq(t), t.seq()
+    e0, e1, h0, h1 = edge.c, edge.d, top.c, top.d
+    for _ in range(-k):
+        e0, e1, h0, h1 = e1 - e0, e0, h1 - h0, h0
+    while True:
+        if e0 < lo and hi <= h0:
+            yield k, e0, e1
+        if (e0 >= 0 and e1 >= 0 or e0 <= 0 and e1 <= 0) and (h0 >= 0 and h1 >= 0 or h0 <= 0 and h1 <= 0):
+            break
+        k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
+    # Settled at k: from k + 1 on each edge is monotone, and each half of the range test flips at most once.
+    e_falls, h_rises = e0 < 0 or e1 < 0, h0 > 0 or h1 > 0
+    skip = max(
+        _steps_below(-e0, -e1, 1 - lo) if e_falls and e1 >= lo else 0,
+        _steps_below(h0, h1, hi) if h_rises and h1 < hi else 0,
+    )
+    if skip > _MIN_JUMP:
+        k += skip + 1
+        (e0, e1), (h0, h1) = edge.pair(k), top.pair(k)
+    else:
+        k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
+    while (e_falls or e0 < lo) and (h_rises or hi <= h0):
+        if e0 < lo and hi <= h0:
+            yield k, e0, e1
+        k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
+
+
 def _row_alignment(s: FibSeq) -> tuple[int, int]:
     """(j, shift) with s.pair(shift) == (u(u(j)), v(u(j))), j over all of Z.
 
-    Scans consecutive-term pairs forward from just before the reference
-    index; the first pair that is a Wythoff pair whose rank is itself a
-    u-value starts the target's row.  j = 0 covers the sequences
-    equivalent to the negated Fibonacci sequence, whose row start is
-    (-2, -3): their trail meets no rank in u(Z*) at all.
+    Let delta_m = t_(m+1) - t_m*phi for the terms t of s; it satisfies
+    delta_(m+1) = (1 - phi)*delta_m, so delta_m = delta_0*(-1/phi)^m.
+
+    For rank k = t_(m+1) - t_m != 0, u(k) = floor(k*phi), and
+    k*phi - t_m = phi*delta_m; so the pair at m is a Wythoff pair (the
+    test u(k) == t_m) exactly when 0 < delta_m < 1/phi, and then
+    frac(k*phi) = phi*delta_m.  The pair (-1, -1) of rank 0 passes that
+    test too, but 0 is no u-value and delta = 1/phi there.  The ranks k
+    with u_inverse(k) defined (u-values, -1 = u(0) included) are exactly
+    those with frac(k*phi) >= 1/phi^2: k = u(i) > 0 gives
+    frac = 1 - frac(i*phi)/phi, k = v(i) gives frac(i*phi)/phi^2, k = -1
+    gives 1/phi^2, and k = -n < -1 is a u-value iff n - 1 is one, with
+    frac(k*phi) = 1 + 1/phi^2 - frac((n-1)*phi) or 1/phi^2 - frac((n-1)*phi).
+
+    So with M the first index with 0 < delta_M < 1/phi, delta_(M-2) =
+    phi^2*delta_M >= 1/phi puts phi*delta_M in [1/phi^2, 1): the pair at
+    M starts the row.  The later Wythoff pairs M + 2i have
+    phi*delta < 1/phi^2 and earlier pairs none, so M is the only index
+    that passes.  The row j = 0 covers the sequences equivalent to the
+    negated Fibonacci sequence, whose row start is (-2, -3).
+
+    M is the first index of the parity with delta_m > 0 that has
+    |delta_0| < phi^(m-1).  `delta_bits` estimates log2|delta_0| within
+    2, which places M within 3 steps of two; an exact walk over the
+    parity class with gold_sign tests of delta_m < 1/phi finds it, and
+    the exact u/u_inverse test confirms the row start.
     """
-    m = reference_index(s) - 3
-    for _ in range(_ALIGN_SCAN):
-        c, d = s.pair(m)
-        if u(d - c) == c:
-            j = u_inverse(d - c)
-            if j is not None:
-                return j, m
+    c, d = s.c, s.d
+    bits, _ = delta_bits(c, d)
+    m = bits * LOG_PHI_2[0] // LOG_PHI_2[1] + 1
+    if (m % 2 == 0) != (gold_sign(GoldInt(d, -c)) > 0):
         m += 1
-    raise RuntimeError(f"no row alignment for {s} within {_ALIGN_SCAN} pairs")
+    t0, t1 = s.pair(m)
+    if _below_inverse_phi(t0, t1):
+        while _below_inverse_phi(2 * t0 - t1, t1 - t0):
+            m, t0, t1 = m - 2, 2 * t0 - t1, t1 - t0
+    else:
+        while not _below_inverse_phi(t0, t1):
+            m, t0, t1 = m + 2, t0 + t1, t0 + 2 * t1
+    rank = t1 - t0
+    j = u_inverse(rank) if u(rank) == t0 else None
+    if j is None:
+        raise RuntimeError(f"pair {(t0, t1)} at index {m} of {s} does not start a row")
+    return j, m
+
+
+def _below_inverse_phi(t0: int, t1: int) -> bool:
+    # t1 - t0*phi < 1/phi = phi - 1
+    return gold_sign(GoldInt(-1 - t1, 1 + t0)) > 0
 
 
 def _verify_occurrence(t: FibTree, s: FibSeq, occ: Occurrence) -> None:
@@ -133,9 +235,16 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     uses the same scan with the pair (0, 0): i_n = 1 - e(n-2) and
     u(i_n) + e(n-1) == 0, which has a unique solution.
 
+    The range 1 <= i_n <= F_n is e(n-2) < j <= hi(n-2), so `_in_range`
+    supplies exactly the levels where it holds, and the levels it skips
+    cannot hold the branch.  Both the alignment and the skip cost O(1)
+    big-int operations, so a 10^3-digit target costs what its bit length
+    asks, not one step per level.
+
     RepresentsZ trees realize every target below some level.  One-sided
     trees carry only targets of their own sign (other signs raise
-    immediately), and only some of those: the scan can exhaust the cap.
+    immediately), and only some of those: the scan can exhaust the cap,
+    or end early once no later level is in range.
     """
     cls = classify(t)
     if cls is TreeClass.POSITIVE_SIDE and s.sign() <= 0:
@@ -147,17 +256,17 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     else:
         want, shift = _row_alignment(s)
         target_u = u(want)
-    # (e(n-2), e(n-1)) and (F_n, F_{n+1}) at level n = 1
-    (e0, e1), (f0, f1) = _edge_seq(t).pair(-1), (1, 1)
-    for n in range(1, level_cap + 1):
+    # level n tests the edges e(n-2), e(n-1)
+    for k, e0, e1 in _in_range(t, want, want, -1):
+        n = k + 2
+        if n > level_cap:
+            break
         i = want - e0
-        if 1 <= i <= f0 and u(i) + e1 == target_u:
+        if u(i) + e1 == target_u:
             pos = u(u(i))
             occ = Occurrence(n, pos, s.pair(shift), shift, True)
             _verify_occurrence(t, s, occ)
             return occ
-        e0, e1 = e1, e0 + e1
-        f0, f1 = f1, f0 + f1
     raise ValueError(
         f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
     )

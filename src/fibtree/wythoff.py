@@ -104,24 +104,64 @@ class FibSeq:
         return f"F[{self.c},{self.d}]"
 
 
+# A rational lower bound on log_phi(2) = 1.44042009...: bit lengths times
+# this ratio estimate levels and indices in integer arithmetic.
+LOG_PHI_2 = (3601, 2500)
+
+
+def delta_bits(c: int, d: int) -> tuple[int, int]:
+    """Estimates of log2|d - c*phi| and log2|d + c/phi| from bit lengths, each within 2.
+
+    With g = 2d - c the two numbers are (g - c*sqrt(5))/2 and
+    (g + c*sqrt(5))/2, so the larger magnitude is (|g| + sqrt(5)|c|)/2,
+    within a factor 1.12 of q/2 with q = |g| + 2|c|, and their product is
+    the norm d^2 - cd - c^2, a nonzero integer for (c, d) != (0, 0).  The
+    second squared minus the first squared is sqrt(5)*c*g, which says
+    which one is larger.  Bit lengths give log2 q and log2|norm| within
+    1 each, hence both estimates within 2.
+    """
+    g = 2 * d - c
+    big = (abs(g) + 2 * abs(c)).bit_length() - 1
+    small = abs(d * d - c * d - c * c).bit_length() - big
+    return (big, small) if c * g <= 0 else (small, big)
+
+
 def reference_index(seq: FibSeq) -> int:
     """The unique index nu splitting the alternating and monotonic parts.
 
     For a positive sequence: term(nu - 1) > term(nu) >= 0; for a negative
-    sequence the inequalities flip.  Terms grow geometrically in both
-    directions, so the scan window only needs O(bit length) indices.
+    sequence the inequalities flip.  Negating a sequence keeps nu, so
+    take it positive.  Write t_m = A*phi^m + B*(-1/phi)^m with
+    A = (d + c/phi)/sqrt(5) > 0 and B = -(d - c*phi)/sqrt(5) != 0.
+
+    Characterization.  Since t(nu-1) - t(nu) = -t(nu-2), the defining
+    inequalities read t(nu-2) < 0 <= t(nu-1), t(nu): nu - 1 is the first
+    index of the nonnegative tail (two consecutive nonnegative terms keep
+    every later term nonnegative, and the terms alternate in sign far
+    enough back), so nu exists and is unique.
+
+    Estimate.  |A*phi^m| and |B*phi^-m| cross at m* = log_phi(|B|/A)/2,
+    with |B|/A = |d - c*phi| / |d + c/phi|; so t_m > 0 for m > m*, and
+    one of t_m, t_(m-1) is negative for m < m*: m* < nu <= m* + 2.
+    `delta_bits` gives log2(|B|/A) within 4, so the estimate m* + 1 is
+    off by at most 5 indices.
+
+    Walk.  From the estimate, the pair (t(m-2), t(m-1)) is updated by one
+    addition per step: both nonnegative means nu < m, a negative t(m-1)
+    or t(m) means nu > m, anything else is the defining pattern.  The
+    walk is exact, whatever the estimate; the estimate only keeps it
+    short, O(1) steps after O(1) big-int multiplications.
     """
     if seq.is_zero():
         raise ValueError("reference index undefined for F[0,0]")
-    positive = seq.sign() > 0
-    span = 3 * max(abs(seq.c), abs(seq.d)).bit_length() + 8
-    hits = []
-    prev = seq.term(-span - 1)
-    cur = seq.term(-span)
-    for n in range(-span, span + 1):
-        if (prev > cur >= 0) if positive else (prev < cur <= 0):
-            hits.append(n)
-        prev, cur = cur, prev + cur
-    if len(hits) != 1:
-        raise RuntimeError(f"reference index scan found {hits} for {seq}")
-    return hits[0]
+    s = seq if seq.sign() > 0 else FibSeq(-seq.c, -seq.d)
+    bits_b, bits_a = delta_bits(s.c, s.d)
+    nu = (bits_b - bits_a) * LOG_PHI_2[0] // (2 * LOG_PHI_2[1]) + 1
+    a, b = s.pair(nu - 2)
+    while True:
+        if a >= 0 and b >= 0:
+            nu, a, b = nu - 1, b - a, a
+        elif b < 0 or a + b < 0:
+            nu, a, b = nu + 1, b, a + b
+        else:
+            return nu

@@ -8,6 +8,9 @@ import pytest
 
 import fibtree.tree
 from fibtree.cli import run
+from fibtree.represent import find_interval_level, find_sequence
+from fibtree.tree import FibTree
+from fibtree.wythoff import FibSeq
 
 
 def run_json(capsys, argv):
@@ -188,3 +191,42 @@ def test_module_invocation_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["class"] == "PositiveSide"
+
+
+def test_closed_pipe_exits_without_traceback():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # megabytes of JSON: the writer is still blocked on the pipe when it closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibtree", "self-contain", "--id", "1,2", "--depth", "1200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{"command"'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+
+
+def test_find_seq_with_201_digit_seed(capsys):
+    c, d = 10**200 + 12345, -(10**200) - 678
+    code, out = run_json(capsys, ["find-seq", "--id", "0,1", "--seq", f"{c},{d}", "--cap", "5000"])
+    assert code == 0
+    occ = find_sequence(FibTree(0, 1), FibSeq(c, d), level_cap=5000)
+    assert json.loads(out)["result"] == {
+        "level": occ.level,
+        "pos": str(occ.pos),
+        "pair": [str(occ.pair[0]), str(occ.pair[1])],
+        "shift": occ.shift,
+        "primitive": True,
+    }
+
+
+def test_interval_past_level_ten_thousand(capsys):
+    bound = 10**2200
+    code, out = run_json(capsys, ["interval", "--id", "0,1", "--lo", str(-bound), "--hi", str(bound)])
+    assert code == 0
+    assert json.loads(out)["result"] == {"level": find_interval_level(FibTree(0, 1), -bound, bound)}

@@ -7,7 +7,6 @@ from fibtree.represent import (
     Occurrence,
     TreeClass,
     _edge_seq,
-    _row_alignment,
     classify,
     count_occurrences,
     find_interval_level,
@@ -15,7 +14,8 @@ from fibtree.represent import (
     verify_lemma_shift,
 )
 from fibtree.tree import FibTree, NodeRef, branch_sequence
-from fibtree.wythoff import FibSeq, u
+from fibtree.wythoff import FibSeq, u, u_inverse, v
+from test_wythoff import reference_index_scan
 
 T01 = FibTree(0, 1)
 T12 = FibTree(1, 2)
@@ -79,12 +79,24 @@ def test_find_interval_level_is_not_monotone():
 
 def _reference_interval_level(t, lo, hi):
     """First level whose closed-form interval contains [lo..hi], level by level."""
+    limit = 3 * max(abs(lo), abs(hi), abs(t.a), abs(t.b)).bit_length() + 100
     n = 0
     while not (t.lo(n) <= lo and hi <= t.hi(n)):
         n += 1
-        if n > 10_000:
-            raise RuntimeError(f"interval [{lo}..{hi}] not reached by level 10000 in {t}")
+        if n > limit:
+            raise RuntimeError(f"interval [{lo}..{hi}] not reached by level {limit} in {t}")
     return n
+
+
+def _reference_row_alignment(s):
+    """(j, shift) by a plain pair scan from just before the reference index."""
+    m = reference_index_scan(s) - 3
+    c, d = s.pair(m)
+    for _ in range(3 * max(abs(s.c), abs(s.d)).bit_length() + 8):
+        if u(d - c) == c and u_inverse(d - c) is not None:
+            return u_inverse(d - c), m
+        c, d, m = d, c + d, m + 1
+    raise RuntimeError(f"no row alignment for {s}")
 
 
 def _reference_find_sequence(t, s, cap):
@@ -93,7 +105,7 @@ def _reference_find_sequence(t, s, cap):
     if s.is_zero():
         target_u, j, shift = 0, None, 0
     else:
-        j, shift = _row_alignment(s)
+        j, shift = _reference_row_alignment(s)
         target_u = u(j)
     for n in range(1, cap + 1):
         i = (1 if j is None else j) - edge.term(n - 2)
@@ -130,9 +142,9 @@ def test_find_interval_level_matches_reference_scan():
     t = FibTree(1 - u(b), b)
     for lo, hi in ((0, 0), (-5, 9), (-(10**1000), 10**999), (10**999, 10**1000 + 3)):
         assert find_interval_level(t, lo, hi) == _reference_interval_level(t, lo, hi)
-    # past 10000 levels both give up with the same error
+    # past level 10000: the reference scan's limit grows with the bit length
     lo, hi = -(10**2200), 10**2200
-    assert _outcome(find_interval_level, T01, lo, hi) == _outcome(_reference_interval_level, T01, lo, hi)
+    assert find_interval_level(T01, lo, hi) == _reference_interval_level(T01, lo, hi) == 10529
 
 
 def test_find_sequence_matches_reference_scan():
@@ -164,9 +176,11 @@ def test_find_sequence_matches_reference_scan_on_thousand_digit_labels():
         occ = find_sequence(t, s, level_cap=6000)
         assert occ == _reference_find_sequence(t, s, 6000)
         assert occ.level > 2000
-    # a 10^3-digit seed finds no row alignment; both scans fail the same way
+    # a 10^3-digit seed: its row start lies thousands of indices past the reference index
     s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(10**999, 10**1000))
-    assert _outcome(find_sequence, T01, s, 20200) == _outcome(_reference_find_sequence, T01, s, 20200)
+    occ = find_sequence(T01, s, 20200)
+    assert occ == _reference_find_sequence(T01, s, 20200)
+    assert occ.shift > reference_index_scan(s) + 2000 and occ.level > 9000
 
 
 def test_find_interval_level_rejects():
@@ -344,3 +358,95 @@ def test_lemma_shift_errors():
         verify_lemma_shift(FibSeq(0, 1), 0, 30)
     with pytest.raises(ValueError, match="still failing"):
         verify_lemma_shift(FibSeq(0, 1), 3, 3)  # identity fails at n = 3 itself
+
+
+def test_find_sequence_row_start_seed_needs_no_shift():
+    rng = random.Random(33)
+    for digits in (60, 200, 1000):
+        for sign in (1, -1):
+            j = sign * rng.randint(10 ** (digits - 1), 10**digits)
+            s = FibSeq(u(u(j)), v(u(j)))
+            occ = find_sequence(T01, s, level_cap=20000)
+            assert occ.shift == 0 and occ.pair == (s.c, s.d)
+            assert occ == _reference_find_sequence(T01, s, 20000)
+
+
+def test_find_sequence_negated_fibonacci_family_at_any_shift():
+    # the negated Fibonacci sequence at any shift aligns to the rank-(-1) row (-2,-3)
+    for k in (-40, -3, 0, 1, 7, 300):
+        s = FibSeq(-fib(k), -fib(k + 1))
+        for t in (T01, FibTree(-1, 2), T00):
+            occ = find_sequence(t, s, level_cap=200)
+            assert occ.pair == (-2, -3) and s.pair(occ.shift) == (-2, -3)
+            assert occ == _reference_find_sequence(t, s, 200)
+
+
+def test_find_sequence_one_sided_trees_match_reference_scan():
+    rng = random.Random(34)
+    trees = [T12, T00, FibTree(2, 2), FibTree(3, 3), FibTree(9, 40), FibTree(-5, -9), FibTree(5, -9)]
+    seeds = [(c, d) for c in range(-6, 7) for d in range(-6, 7)]
+    seeds += [(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30)) for _ in range(20)]
+    for t in trees:
+        cls = classify(t)
+        assert cls is not TreeClass.REPRESENTS_Z
+        for c, d in seeds:
+            s = FibSeq(c, d)
+            if s.sign() * (1 if cls is TreeClass.POSITIVE_SIDE else -1) <= 0:
+                continue  # a domain error, raised before any scan
+            for cap in (3, 60, 700):
+                want = _reference_find_sequence(t, s, cap)
+                got = _outcome(find_sequence, t, s, cap)
+                if want is None:
+                    assert got == (ValueError, f"no occurrence of {s} in {t} within level cap {cap} (last level tried {cap})")
+                else:
+                    assert got == want
+
+
+def test_find_sequence_cap_below_jump_target_keeps_error_text():
+    rng = random.Random(35)
+    s = FibSeq(rng.randint(10**999, 10**1000), -rng.randint(10**999, 10**1000))
+    occ = find_sequence(T01, s, level_cap=20200)
+    assert find_sequence(T01, s, level_cap=occ.level) == occ
+    for cap in (occ.level - 1, 60, 0):
+        with pytest.raises(ValueError) as exc:
+            find_sequence(T01, s, level_cap=cap)
+        assert str(exc.value) == f"no occurrence of {s} in {T01} within level cap {cap} (last level tried {cap})"
+
+
+def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
+    import fibtree.represent as represent
+
+    calls = 0
+    real_u = represent.u
+
+    def counting_u(n):
+        nonlocal calls
+        calls += 1
+        return real_u(n)
+
+    monkeypatch.setattr(represent, "u", counting_u)
+    rng = random.Random(36)
+    for _ in range(3):
+        calls = 0
+        s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
+        occ = find_sequence(T01, s, level_cap=20200)
+        assert occ.level > 9000
+        assert calls <= 64, calls
+
+
+def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
+    calls = 0
+    real_term = FibSeq.term
+
+    def counting_term(self, n):
+        nonlocal calls
+        calls += 1
+        return real_term(self, n)
+
+    monkeypatch.setattr(FibSeq, "term", counting_term)
+    rng = random.Random(37)
+    for t in (T01, FibTree(-1, 2), FibTree(-60, 38)):
+        calls = 0
+        lo, hi = -rng.randint(10**2199, 10**2200), rng.randint(10**2199, 10**2200)
+        assert find_interval_level(t, lo, hi) > 10_000
+        assert calls <= 64, calls

@@ -129,3 +129,35 @@ def test_reference_index_defining_inequalities(c, d):
         assert s.term(nu - 1) > s.term(nu) >= 0
     else:
         assert s.term(nu - 1) < s.term(nu) <= 0
+
+
+def reference_index_scan(seq):
+    """The defining inequalities checked term by term over +-(3*bit length + 8) indices."""
+    positive = seq.sign() > 0
+    span = 3 * max(abs(seq.c), abs(seq.d)).bit_length() + 8
+    hits = []
+    prev, cur = seq.term(-span - 1), seq.term(-span)
+    for n in range(-span, span + 1):
+        if (prev > cur >= 0) if positive else (prev < cur <= 0):
+            hits.append(n)
+        prev, cur = cur, prev + cur
+    assert len(hits) == 1, hits
+    return hits[0]
+
+
+def test_reference_index_matches_linear_scan():
+    import random
+
+    rng = random.Random(17)
+    seeds = [(c, d) for c in range(-25, 26) for d in range(-25, 26) if c or d]
+    for digits in (1, 2, 5, 20, 100, 300, 1000):
+        for _ in range(40 if digits < 300 else 8):
+            c, d = rng.randint(1, 10**digits), rng.randint(-(10**digits), 10**digits)
+            seeds += [(c, d), (-c, -d)]
+            # ratio near phi: a long alternating part
+            seeds += [(c, u(c) + rng.randint(-2, 2)), (-c, -u(c) - rng.randint(-2, 2))]
+    for c, d in seeds:
+        if c == 0 and d == 0:
+            continue
+        s = FibSeq(c, d)
+        assert reference_index(s) == reference_index_scan(s), (c, d)
