@@ -8,7 +8,7 @@ partial order, and the Wythoff array -- all in arbitrary-precision
 integer arithmetic, with no floating point anywhere in the core.
 """
 
-from .goldring import Atom, GoldInt, MapWord, apply_map, fib, fixed_point, gold_sign, phi_pow
+from .goldring import Atom, GoldInt, MapWord, fib, fixed_point, gold_sign, phi_pow
 from .wythoff import FibSeq, WythoffPair, primitive_rank, reference_index, u, u_inverse, v
 from .fibword import Word, letter_at, parent_position, u_count, v_count, word
 from .tree import (
@@ -16,14 +16,14 @@ from .tree import (
     LevelLabeling,
     NodeRef,
     branch_sequence,
-    build_level_by_rules,
     build_levels,
     children_labels,
     level_interval,
     node_label,
     parent_label,
+    u_nodes,
 )
-from .algebra import decompose, scalar_mul, tree_sum
+from .algebra import scalar_mul, tree_sum
 from .represent import (
     Occurrence,
     TreeClass,
@@ -36,7 +36,7 @@ from .represent import (
 from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
 from .warray import WythoffArray, hofstadter_g, hofstadter_levels, primitive_pairs_in_tree, wythoff_array
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Atom",
@@ -52,14 +52,11 @@ __all__ = [
     "Word",
     "WythoffArray",
     "WythoffPair",
-    "apply_map",
     "branch_sequence",
-    "build_level_by_rules",
     "build_levels",
     "children_labels",
     "classify",
     "count_occurrences",
-    "decompose",
     "fib",
     "find_interval_level",
     "find_sequence",
@@ -85,6 +82,7 @@ __all__ = [
     "u",
     "u_count",
     "u_inverse",
+    "u_nodes",
     "v",
     "v_count",
     "verify_lemma_shift",

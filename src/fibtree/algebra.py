@@ -2,44 +2,22 @@
 
 Superimposing two trees and adding corresponding labels, minus the base
 interval [-F_{n+2}+1 .. 0], again yields a labeled tree: the one whose
-identity is the componentwise sum.  The sum is therefore O(1) on
-identities; `tree_sum` can optionally re-check the level-wise definition
-up to a requested depth.
+identity is the componentwise sum.  So the group is Z^2 on identities,
+and the sum and the scalar multiples are O(1); every tree F[a,b] is
+a*F[1,0] + b*F[0,1].  `verify.check_superposition` compares the
+level-wise definition with the sum.
 """
 
 from __future__ import annotations
 
-from .goldring import fib
 from .tree import FibTree
 
 
-def tree_sum(t1: FibTree, t2: FibTree, verify_levels: int | None = None) -> FibTree:
-    """The sum tree F[a+a', b+b'].
-
-    With ``verify_levels`` set, checks level by level that adding the two
-    label intervals and subtracting the base interval reproduces the
-    result's interval (endpoint checks suffice: all three intervals share
-    the width F_{n+2}).
-    """
-    result = FibTree(t1.a + t2.a, t1.b + t2.b)
-    if verify_levels is not None:
-        for n in range(verify_levels + 1):
-            base_lo = -fib(n + 2) + 1
-            lo = t1.lo(n) + t2.lo(n) - base_lo
-            hi = t1.hi(n) + t2.hi(n) - 0
-            if (lo, hi) != (result.lo(n), result.hi(n)):
-                raise RuntimeError(
-                    f"superposition mismatch at level {n}: "
-                    f"[{lo}..{hi}] vs [{result.lo(n)}..{result.hi(n)}]"
-                )
-    return result
+def tree_sum(t1: FibTree, t2: FibTree) -> FibTree:
+    """The sum tree F[a+a', b+b']."""
+    return FibTree(t1.a + t2.a, t1.b + t2.b)
 
 
 def scalar_mul(k: int, t: FibTree) -> FibTree:
     """k-fold sum: F[k*a, k*b]."""
     return FibTree(k * t.a, k * t.b)
-
-
-def decompose(t: FibTree) -> tuple[int, int]:
-    """The unique (a, b) with t = a*F[1,0] (+) b*F[0,1]."""
-    return t.a, t.b

@@ -21,7 +21,7 @@ from .algebra import tree_sum
 from .fibword import letter_at, u_count
 from .order import is_subtree, least_upper_bound, self_containment
 from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
-from .tree import MAX_BUILD_LEVEL, FibTree, NodeRef
+from .tree import MAX_BUILD_LEVEL, FibTree
 from .verify import SUITES, run_suites
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
@@ -167,6 +167,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "tree":
         levels = _capped(args.levels, "--levels")
+        if levels < 0:
+            raise ValueError(f"level must be >= 0, got {levels}")
         if levels > MAX_BUILD_LEVEL:
             # level n holds F_{n+2} nodes; a dump beyond the cap is unusable
             raise ValueError(f"--levels {levels} exceeds the dump cap {MAX_BUILD_LEVEL}")

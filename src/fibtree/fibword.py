@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .goldring import fib
 from .wythoff import u
 
 U = "u"

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +183,6 @@ class MapWord:
 
     def __str__(self) -> str:
         return " ".join(self.tokens()) if self.atoms else "<identity>"
-
-
-def apply_map(word: MapWord, z: GoldInt) -> GoldInt:
-    return word.apply(z)
 
 
 def fixed_point(word: MapWord) -> GoldInt | None:

@@ -11,7 +11,10 @@ Both searches cost what the bit length of their inputs asks, not one
 step per level: a target's row start is located from the bit lengths of
 its seed, and the level scans step the level edges by additions only
 until the edges settle, then jump to within a few levels of the first
-level whose interval can hold the answer.
+level whose interval can hold the answer.  A located branch is fixed by
+its pair, so the searches return it without replaying it; the replay is
+`verify.check_find_sequence`, and `count_occurrences` is the brute-force
+count over rule-built levels.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .goldring import GoldInt, gold_sign
-from .fibword import U, letter_at, u_count
-from .tree import FibTree, NodeRef, build_levels, branch_sequence, node_label, parent_label
+from .fibword import U
+from .tree import FibTree, u_nodes
 from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u, u_inverse
 
 DEFAULT_LEVEL_CAP = 60
 
-# How many branch terms to replay when verifying a hit, and the shortest
-# skip over out-of-range levels worth four FibSeq.term calls: shorter
-# skips are cheaper to step through by additions.
-_REPLAY_TERMS = 10
+# The shortest skip over out-of-range levels worth four FibSeq.term
+# calls: shorter skips are cheaper to step through by additions.
 _MIN_JUMP = 32
 
 
@@ -215,15 +216,6 @@ def _below_inverse_phi(t0: int, t1: int) -> bool:
     return gold_sign(GoldInt(-1 - t1, 1 + t0)) > 0
 
 
-def _verify_occurrence(t: FibTree, s: FibSeq, occ: Occurrence) -> None:
-    got = branch_sequence(t, NodeRef(occ.level, occ.pos), _REPLAY_TERMS)
-    want = [s.term(occ.shift + i) for i in range(_REPLAY_TERMS)]
-    if got != want:
-        raise RuntimeError(f"branch replay mismatch at {occ}: {got} vs {want}")
-    if occ.primitive and letter_at(u_count(occ.pos)) != U:
-        raise RuntimeError(f"node at {occ} is not primitive")
-
-
 def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> Occurrence:
     """A primitive branch of t realizing s: the canonical pair's first appearance.
 
@@ -263,10 +255,7 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
             break
         i = want - e0
         if u(i) + e1 == target_u:
-            pos = u(u(i))
-            occ = Occurrence(n, pos, s.pair(shift), shift, True)
-            _verify_occurrence(t, s, occ)
-            return occ
+            return Occurrence(n, u(u(i)), s.pair(shift), shift, True)
     raise ValueError(
         f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
     )
@@ -292,17 +281,11 @@ def count_occurrences(t: FibTree, s: FibSeq, level_cap: int) -> int:
     targets accumulate more nodes as the cap grows.
     """
     _require_full(t)
-    levels = build_levels(t, level_cap, max_level=max(level_cap, 30))
-    count = 0
-    for n in range(1, level_cap + 1):
-        above = levels[n - 1]
-        for label, letter, ppos in levels[n]:
-            if letter != U or above[ppos - 1][1] != U:
-                continue
-            pair = (label, above[ppos - 1][0] + label)
-            if _equivalent(FibSeq(*pair), s):
-                count += 1
-    return count
+    return sum(
+        1
+        for _, _, label, parent, parent_letter in u_nodes(t, level_cap)
+        if parent_letter == U and _equivalent(FibSeq(label, parent + label), s)
+    )
 
 
 def verify_lemma_shift(s: FibSeq, i: int, n_max: int) -> int:

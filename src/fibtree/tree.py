@@ -2,20 +2,24 @@
 
 A tree is identified by two integers: root label a, and b the label of
 the root's v-child.  Level n then carries exactly the consecutive
-integers from hi(n) - F_{n+2} + 1 to hi(n), where hi follows the
-Fibonacci recursion from (a, b).  Every node query here is closed-form
-and O(1) in big-int operations; `build_levels` applies the three child
-labeling rules literally and exists as the independent oracle for the
-closed forms (and for explicit dumps).
+integers from lo(n) = hi(n) - F_{n+2} + 1 to hi(n), where hi follows the
+Fibonacci recursion from (a, b).  Every node query here has one closed
+form, O(1) in big-int operations: the node at position pos of level n
+is labeled lo(n) + pos - 1 and lettered like position pos of the
+infinite Fibonacci word.  `build_levels` applies the three child
+labeling rules literally, and `u_nodes` walks its u-nodes; they are the
+brute-force route that the occurrence counts and the `verify` suites
+compare the closed forms against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .goldring import GoldInt, fib
-from .fibword import U, V, Word, letter_at, u_count, v_count, word
-from .wythoff import FibSeq, u, v
+from .fibword import U, V, Word, letter_at, u_count, word
+from .wythoff import FibSeq
 
 # Rule-by-rule construction cap: level n holds F_{n+2} nodes.
 MAX_BUILD_LEVEL = 30
@@ -121,9 +125,21 @@ def build_levels(t: FibTree, n: int, max_level: int = MAX_BUILD_LEVEL) -> list[l
     return levels
 
 
-def build_level_by_rules(t: FibTree, n: int, max_level: int = MAX_BUILD_LEVEL) -> list[LevelNode]:
-    """Level n alone, from the rule-by-rule construction."""
-    return build_levels(t, n, max_level)[n]
+def u_nodes(t: FibTree, n: int) -> Iterator[tuple[int, int, int, int, str]]:
+    """(level, pos, label, parent label, parent letter) of every u-node on levels 1..n.
+
+    Read off the rule-built levels, level by level and left to right.
+    A u-node under a u-node roots a primitive branch, seeded by (label,
+    parent label + label).  Callers bound n themselves: this builds past
+    MAX_BUILD_LEVEL when asked to.
+    """
+    levels = build_levels(t, n, max_level=n)
+    for level in range(1, n + 1):
+        above = levels[level - 1]
+        for pos, (label, letter, ppos) in enumerate(levels[level], 1):
+            if letter == U:
+                parent, parent_letter, _ = above[ppos - 1]
+                yield level, pos, label, parent, parent_letter
 
 
 def _check_ref(t: FibTree, ref: NodeRef) -> None:
@@ -136,23 +152,16 @@ def _check_ref(t: FibTree, ref: NodeRef) -> None:
 
 
 def node_label(t: FibTree, ref: NodeRef) -> tuple[int, str]:
-    """Label and letter of one node.
+    """Label and letter of one node: lo(level) + pos - 1, and the word's letter at pos.
 
-    Computed twice -- interval offset, and the Wythoff-sequence form
-    lo - 1 + u(k) (u-node, k its inclusive u-count) or lo - 1 + v(l)
-    (v-node, l its inclusive v-count) -- and the two must agree.
+    The paper also writes the label through the Wythoff sequences, as
+    lo - 1 + u(k) at the k-th u-node and lo - 1 + v(l) at the l-th
+    v-node; that route agrees because pos == u(u_count(pos)) at u-nodes
+    and pos == v(v_count(pos)) at v-nodes, an identity of positions alone
+    that `verify.check_consecutive_labels` checks.
     """
     _check_ref(t, ref)
-    lo = t.lo(ref.level)
-    direct = lo + ref.pos - 1
-    letter = letter_at(ref.pos)
-    if letter == U:
-        via_wythoff = lo - 1 + u(u_count(ref.pos))
-    else:
-        via_wythoff = lo - 1 + v(v_count(ref.pos))
-    if direct != via_wythoff:
-        raise RuntimeError(f"label formulas disagree at {ref}: {direct} vs {via_wythoff}")
-    return direct, letter
+    return t.lo(ref.level) + ref.pos - 1, letter_at(ref.pos)
 
 
 def parent_label(t: FibTree, ref: NodeRef) -> int:

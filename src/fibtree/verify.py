@@ -7,6 +7,9 @@ The decimal oracles here are the one sanctioned use of approximate
 golden-ratio values: a 50-digit scaled integer, cross-derived from the
 stdlib decimal square root rather than from the integer-sqrt path used
 by the library itself.
+
+The library computes each fact by one closed form and never re-checks
+it; the second route to each fact lives here, in the check for it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 from .algebra import scalar_mul, tree_sum
-from .fibword import U, V, letter_at, parent_position, u_count, v_count, word
-from .goldring import Atom, GoldInt, MapWord, apply_map, fib, gold_sign, phi_pow
+from .fibword import U, V, letter_at, u_count, v_count, word
+from .goldring import Atom, GoldInt, MapWord, fib, gold_sign, phi_pow
 from .order import is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import (
     TreeClass,
@@ -27,7 +30,7 @@ from .represent import (
     find_sequence,
     verify_lemma_shift,
 )
-from .tree import FibTree, NodeRef, build_levels, node_label, parent_label
+from .tree import FibTree, NodeRef, branch_sequence, build_levels, node_label, parent_label, u_nodes
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
 
@@ -73,8 +76,22 @@ def _fail(check: str, detail: str) -> dict:
 
 
 def check_consecutive_labels(grid: int = 5, max_level: int = 20) -> list[dict]:
-    """Rule-built levels equal the closed-form consecutive interval exactly."""
+    """Rule-built levels equal the closed-form consecutive interval exactly.
+
+    Also checks that node_label's interval form lo + pos - 1 equals the
+    Wythoff form lo - 1 + u(u_count(pos)) or lo - 1 + v(v_count(pos)):
+    the two differ only through pos, so one pass over the positions of
+    the widest level covers every tree and level built here.
+    """
     failures = []
+    for pos in range(1, fib(max_level + 2) + 1):
+        if letter_at(pos) == U:
+            via_wythoff = u(u_count(pos))
+        else:
+            via_wythoff = v(v_count(pos))
+        if via_wythoff != pos:
+            failures.append(_fail("wythoff-labels", f"position {pos}: Wythoff form gives {via_wythoff}"))
+            break
     for a in range(-grid, grid + 1):
         for b in range(-grid, grid + 1):
             t = FibTree(a, b)
@@ -201,10 +218,21 @@ def check_superposition(pairs: int = 20, levels: int = 12, seed: int = 97) -> li
     for _ in range(pairs):
         t1 = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
         t2 = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
-        try:
-            tree_sum(t1, t2, verify_levels=levels)
-        except RuntimeError as exc:
-            failures.append(_fail("superposition", str(exc)))
+        result = tree_sum(t1, t2)
+        # all three intervals share the width F_{n+2}, so endpoints suffice
+        for n in range(levels + 1):
+            base_lo = -fib(n + 2) + 1
+            lo = t1.lo(n) + t2.lo(n) - base_lo
+            hi = t1.hi(n) + t2.hi(n) - 0
+            if (lo, hi) != (result.lo(n), result.hi(n)):
+                failures.append(
+                    _fail(
+                        "superposition",
+                        f"superposition mismatch at level {n}: "
+                        f"[{lo}..{hi}] vs [{result.lo(n)}..{result.hi(n)}]",
+                    )
+                )
+                break
     if tree_sum(FibTree(0, 1), FibTree(1, 1)) != FibTree(1, 2):
         failures.append(_fail("sum-anchor", "F[0,1] + F[1,1] != F[1,2]"))
     return failures
@@ -235,7 +263,11 @@ SAMPLE_FULL_TREES = (FibTree(0, 1), FibTree(1, 1), FibTree(-1, 2), FibTree(1, 0)
 
 
 def check_find_sequence(seed_bound: int = 10, cap: int = 60, replay: int = 10) -> list[dict]:
-    """Every small seed is located in each sample tree, and the branch replays."""
+    """Every small seed is located in each sample tree, the branch replays, and its root is primitive.
+
+    A primitive node is a u-node under a u-node: its parent's position
+    u_count(pos) carries a u.
+    """
     failures = []
     for t in SAMPLE_FULL_TREES:
         for c in range(-seed_bound, seed_bound + 1):
@@ -243,15 +275,15 @@ def check_find_sequence(seed_bound: int = 10, cap: int = 60, replay: int = 10) -
                 s = FibSeq(c, d)
                 try:
                     occ = find_sequence(t, s, level_cap=cap)
+                    got = branch_sequence(t, NodeRef(occ.level, occ.pos), replay)
                 except (ValueError, RuntimeError) as exc:
                     failures.append(_fail("find-sequence", f"{t} {s}: {exc}"))
                     continue
-                from .tree import branch_sequence
-
-                got = branch_sequence(t, NodeRef(occ.level, occ.pos), replay)
                 want = [s.term(occ.shift + k) for k in range(replay)]
                 if got != want:
                     failures.append(_fail("find-sequence-replay", f"{t} {s}: {got} vs {want}"))
+                if not occ.primitive or letter_at(u_count(occ.pos)) != U:
+                    failures.append(_fail("find-sequence-primitive", f"{t} {s}: node at {occ} is not primitive"))
     return failures
 
 
@@ -322,28 +354,13 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
     failures = []
     trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
     for parent in trees:
-        levels = build_levels(parent, cap, max_level=max(cap, 30))
-        # (label, parent label) of every u-node, per level
-        found: list[set[tuple[int, int]]] = [set()]
-        for n in range(1, cap + 1):
-            above = levels[n - 1]
-            found.append(
-                {
-                    (label, above[ppos - 1][0])
-                    for label, letter, ppos in levels[n]
-                    if letter == U
-                }
-            )
+        # first level of each (label, parent label) of a u-node
+        first: dict[tuple[int, int], int] = {}
+        for n, _, label, above_label, _ in u_nodes(parent, cap):
+            first.setdefault((label, above_label), n)
         for child in trees:
             witness = is_subtree(child, parent, level_cap=cap)
-            brute = None
-            if child == parent:
-                brute = 0
-            else:
-                for n in range(1, cap + 1):
-                    if (child.a, child.b - child.a) in found[n]:
-                        brute = n
-                        break
+            brute = 0 if child == parent else first.get((child.a, child.b - child.a))
             got = witness.level if witness else None
             if got != brute:
                 failures.append(
@@ -426,7 +443,7 @@ def check_commutator(p_max: int = 6, q_max: int = 6, samples: int = 100, seed: i
             rl = MapWord((Atom.R,) * q + (Atom.L,) * p)
             want = GoldInt(1, 2) * (phi_pow(p) - one) * (phi_pow(2 * q) - one)
             for z in points:
-                if apply_map(lr, z) - apply_map(rl, z) != want:
+                if lr.apply(z) - rl.apply(z) != want:
                     failures.append(_fail("commutator", f"p={p} q={q} z={z}"))
                     break
     return failures
@@ -448,15 +465,27 @@ def check_order_sum_incompatibility() -> list[dict]:
 
 
 def check_hofstadter(levels: int = 10, g_max: int = 10**4) -> list[dict]:
+    """The region's levels read 1, 2, 3, ...; g by its recursion equals the closed form and the parent labels of F[1,2].
+
+    The recursion g(n) = n - g(g(n-1)) is built here bottom-up and never
+    goes through `hofstadter_g` or the u-count it equals.
+    """
     failures = []
     flat = []
     for lo, hi in hofstadter_levels(levels):
         flat.extend(range(lo, hi + 1))
     if flat != list(range(1, fib(levels + 2) + 1)):
         failures.append(_fail("hofstadter-concat", f"levels 0..{levels} misread"))
+    recursion = [0]
+    for n in range(1, g_max + 1):
+        recursion.append(n - recursion[recursion[n - 1]])
+    for n in range(g_max + 1):
+        if hofstadter_g(n) != recursion[n]:
+            failures.append(_fail("g-closed-form", f"n={n}: {hofstadter_g(n)} vs recursion {recursion[n]}"))
+            break
     t = FibTree(1, 2)
     for n in range(1, g_max + 1):
-        g = hofstadter_g(n)
+        g = recursion[n]
         m = 1
         while t.width(m) < n:
             m += 1

@@ -3,18 +3,20 @@
 F[1,2] is tiled by nested copies of itself; the complement of the first
 left copy reads off the positive integers level by level, and its
 ascending branches are the rows of the Wythoff array (row j seeded by
-(u(u(j)), v(u(j)))).  The recursive function g(n) = n - g(g(n-1)) gives
-each position's parent label in F[1,2].
+(u(u(j)), v(u(j)))).  Hofstadter's g(n) = n - g(g(n-1)) gives each
+position's parent label in F[1,2]; it has the closed form
+g(n) = floor((n+1)/phi) = u(n+1) - (n+1), computed here in O(1) big-int
+operations for any n.  The recursion itself is the oracle in
+`verify.check_hofstadter`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .goldring import fib
 from .fibword import U
-from .tree import FibTree, LevelNode, build_levels
+from .tree import FibTree, u_nodes
 from .wythoff import u, v
 
 
@@ -58,21 +60,16 @@ def hofstadter_levels(n_max: int) -> list[tuple[int, int]]:
     return out
 
 
-_g_cache = [0]
-_g_lock = threading.Lock()
-
-
 def hofstadter_g(n: int) -> int:
-    """g(0) = 0, g(n) = n - g(g(n-1)), filled bottom-up under a lock."""
+    """Hofstadter's g(n) = n - g(g(n-1)), g(0) = 0, by its closed form (A005206).
+
+    g(n) = floor((n+1)/phi) = floor((n+1)*phi) - (n+1) = u(n+1) - (n+1),
+    since 1/phi = phi - 1; for n >= 1 this is also the inclusive u-count
+    at position n.
+    """
     if n < 0:
         raise ValueError(f"g needs n >= 0, got {n}")
-    if n < len(_g_cache):
-        return _g_cache[n]
-    with _g_lock:
-        while len(_g_cache) <= n:
-            m = len(_g_cache)
-            _g_cache.append(m - _g_cache[_g_cache[m - 1]])
-    return _g_cache[n]
+    return u(n + 1) - (n + 1)
 
 
 def primitive_pairs_in_tree(
@@ -83,11 +80,8 @@ def primitive_pairs_in_tree(
     Brute force over the rule-built levels; each such node roots a fresh
     ascending branch seeded by (label, parent label + label).
     """
-    levels = build_levels(t, n_max, max_level=max(n_max, 30))
-    out = []
-    for n in range(1, n_max + 1):
-        above: list[LevelNode] = levels[n - 1]
-        for pos, (label, letter, ppos) in enumerate(levels[n], 1):
-            if letter == U and above[ppos - 1][1] == U:
-                out.append(((label, above[ppos - 1][0] + label), n, pos))
-    return out
+    return [
+        ((label, parent + label), n, pos)
+        for n, pos, label, parent, parent_letter in u_nodes(t, n_max)
+        if parent_letter == U
+    ]

@@ -1,7 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibtree.algebra import decompose, scalar_mul, tree_sum
+from fibtree.algebra import scalar_mul, tree_sum
+from fibtree.goldring import fib
 from fibtree.order import is_subtree
 from fibtree.tree import FibTree
 
@@ -34,13 +35,7 @@ def test_scalar_anchors():
 def test_basis_identity(a, b):
     built = tree_sum(scalar_mul(a, FibTree(1, 0)), scalar_mul(b, FibTree(0, 1)))
     assert built == FibTree(a, b)
-    assert decompose(built) == (a, b)
-
-
-def test_decompose_anchors():
-    assert decompose(FibTree(1, 2)) == (1, 2)
-    assert decompose(ZERO_TREE) == (0, 0)
-    assert decompose(tree_sum(FibTree(2, 3), FibTree(-2, -3))) == (0, 0)
+    assert (built.a, built.b) == (a, b)
 
 
 @given(
@@ -50,8 +45,14 @@ def test_decompose_anchors():
     st.integers(min_value=-50, max_value=50),
 )
 def test_sum_verified_level_by_level(a, b, c, d):
-    # raises internally if the superposition definition ever disagrees
-    assert tree_sum(FibTree(a, b), FibTree(c, d), verify_levels=10) == FibTree(a + c, b + d)
+    # superposing the levels and subtracting the base interval [-F_{n+2}+1 .. 0]
+    # gives the sum tree's level; all three share the width F_{n+2}
+    t1, t2 = FibTree(a, b), FibTree(c, d)
+    total = tree_sum(t1, t2)
+    assert total == FibTree(a + c, b + d)
+    for n in range(11):
+        assert t1.lo(n) + t2.lo(n) - (1 - fib(n + 2)) == total.lo(n)
+        assert t1.hi(n) + t2.hi(n) - 0 == total.hi(n)
 
 
 def test_order_not_compatible_with_sum():

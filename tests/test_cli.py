@@ -11,6 +11,7 @@ from fibtree.cli import run
 from fibtree.represent import find_interval_level, find_sequence
 from fibtree.tree import FibTree
 from fibtree.wythoff import FibSeq
+from test_warray import g_decimal_oracle
 
 
 def run_json(capsys, argv):
@@ -230,3 +231,18 @@ def test_interval_past_level_ten_thousand(capsys):
     code, out = run_json(capsys, ["interval", "--id", "0,1", "--lo", str(-bound), "--hi", str(bound)])
     assert code == 0
     assert json.loads(out)["result"] == {"level": find_interval_level(FibTree(0, 1), -bound, bound)}
+
+
+def test_g_of_a_thirty_digit_n(capsys):
+    code, out = run_json(capsys, ["g", "--n", str(10**30)])
+    assert code == 0
+    assert json.loads(out)["result"] == {"g": str(g_decimal_oracle(10**30))}
+
+
+@pytest.mark.parametrize("fmt", ["json", "ascii", "dot"])
+def test_tree_rejects_negative_levels(capsys, fmt):
+    code = run(["tree", "--id", "0,1", "--levels", "-3", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: level must be >= 0, got -3\n"

@@ -11,7 +11,6 @@ from fibtree.goldring import (
     Atom,
     GoldInt,
     MapWord,
-    apply_map,
     fib,
     fixed_point,
     gold_sign,
@@ -97,19 +96,19 @@ def test_gold_sign_matches_decimal_oracle_full_grid():
 
 
 def test_apply_map_anchors():
-    assert apply_map(MapWord((Atom.L,)), PHI) == ZERO
-    assert apply_map(MapWord((Atom.R,)), PHI) == PHI_CUBED
-    assert apply_map(MapWord((Atom.L,)), PHI_CUBED) == PHI_CUBED
-    got = apply_map(MapWord((Atom.LINV, Atom.RINV, Atom.RINV)), GoldInt(-1, 2))
+    assert MapWord((Atom.L,)).apply(PHI) == ZERO
+    assert MapWord((Atom.R,)).apply(PHI) == PHI_CUBED
+    assert MapWord((Atom.L,)).apply(PHI_CUBED) == PHI_CUBED
+    got = MapWord((Atom.LINV, Atom.RINV, Atom.RINV)).apply(GoldInt(-1, 2))
     assert got == GoldInt(18, -10)
 
 
 def test_apply_map_atoms_act_right_to_left():
     # L then R is not R then L
     z = GoldInt(2, -1)
-    lr = apply_map(MapWord((Atom.L, Atom.R)), z)  # R first
-    rl = apply_map(MapWord((Atom.R, Atom.L)), z)
-    assert lr == apply_map(MapWord((Atom.L,)), apply_map(MapWord((Atom.R,)), z))
+    lr = MapWord((Atom.L, Atom.R)).apply(z)  # R first
+    rl = MapWord((Atom.R, Atom.L)).apply(z)
+    assert lr == MapWord((Atom.L,)).apply(MapWord((Atom.R,)).apply(z))
     assert lr != rl
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fibtree.fibword import U, letter_at, u_count
 from fibtree.goldring import GoldInt, fib, gold_sign
 from fibtree.represent import (
     Occurrence,
@@ -114,6 +115,13 @@ def _reference_find_sequence(t, s, cap):
     return None
 
 
+def _assert_branch(t, s, occ, terms=10):
+    """The branch at occ replays s from index occ.shift on, and its root is a u-node under a u-node."""
+    got = branch_sequence(t, NodeRef(occ.level, occ.pos), terms)
+    assert got == [s.term(occ.shift + k) for k in range(terms)]
+    assert occ.primitive and letter_at(u_count(occ.pos)) == U
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -164,6 +172,8 @@ def test_find_sequence_matches_reference_scan():
             assert got[0] is ValueError and "level cap" in got[1]
         else:
             assert got == want
+            if isinstance(got, Occurrence):
+                _assert_branch(t, s, got)
 
 
 def test_find_sequence_matches_reference_scan_on_thousand_digit_labels():
@@ -176,11 +186,13 @@ def test_find_sequence_matches_reference_scan_on_thousand_digit_labels():
         occ = find_sequence(t, s, level_cap=6000)
         assert occ == _reference_find_sequence(t, s, 6000)
         assert occ.level > 2000
+        _assert_branch(t, s, occ)
     # a 10^3-digit seed: its row start lies thousands of indices past the reference index
     s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(10**999, 10**1000))
     occ = find_sequence(T01, s, 20200)
     assert occ == _reference_find_sequence(T01, s, 20200)
     assert occ.shift > reference_index_scan(s) + 2000 and occ.level > 9000
+    _assert_branch(T01, s, occ)
 
 
 def test_find_interval_level_rejects():
@@ -369,6 +381,7 @@ def test_find_sequence_row_start_seed_needs_no_shift():
             occ = find_sequence(T01, s, level_cap=20000)
             assert occ.shift == 0 and occ.pair == (s.c, s.d)
             assert occ == _reference_find_sequence(T01, s, 20000)
+            _assert_branch(T01, s, occ)
 
 
 def test_find_sequence_negated_fibonacci_family_at_any_shift():
@@ -379,6 +392,7 @@ def test_find_sequence_negated_fibonacci_family_at_any_shift():
             occ = find_sequence(t, s, level_cap=200)
             assert occ.pair == (-2, -3) and s.pair(occ.shift) == (-2, -3)
             assert occ == _reference_find_sequence(t, s, 200)
+            _assert_branch(t, s, occ)
 
 
 def test_find_sequence_one_sided_trees_match_reference_scan():
@@ -400,6 +414,7 @@ def test_find_sequence_one_sided_trees_match_reference_scan():
                     assert got == (ValueError, f"no occurrence of {s} in {t} within level cap {cap} (last level tried {cap})")
                 else:
                     assert got == want
+                    _assert_branch(t, s, got)
 
 
 def test_find_sequence_cap_below_jump_target_keeps_error_text():

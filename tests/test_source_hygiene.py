@@ -1,0 +1,69 @@
+"""The library stays stdlib-only and float-free, and carries no dead imports.
+
+Parses every module under src/fibtree with ast.  Only `verify.py` may use
+`decimal`: its oracles are the one sanctioned approximation of phi.
+"""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fibtree"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_modules(tree: ast.Module) -> list[str]:
+    """Top-level names of the absolute imports."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module.split(".")[0])
+    return out
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "goldring.py", "verify.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_float_free(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            bad.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            bad.append((node.lineno, "/ operator"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            bad.append((node.lineno, "float( call"))
+    assert bad == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_stdlib_only(path):
+    mods = _imported_modules(_tree(path))
+    assert [m for m in mods if m not in sys.stdlib_module_names] == []
+    if path.name != "verify.py":
+        assert "decimal" not in mods
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(name for name in bound if name not in used) == []

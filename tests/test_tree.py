@@ -1,17 +1,20 @@
+import random
+
 import pytest
 
-from fibtree.fibword import U, V, word
+from fibtree.fibword import U, V, letter_at, u_count, v_count, word
 from fibtree.goldring import fib
+from fibtree.wythoff import u, v
 from fibtree.tree import (
     FibTree,
     NodeRef,
     branch_sequence,
-    build_level_by_rules,
     build_levels,
     children_labels,
     level_interval,
     node_label,
     parent_label,
+    u_nodes,
 )
 
 T01 = FibTree(0, 1)
@@ -41,19 +44,19 @@ def test_level_interval_rejects_negative():
 
 
 def test_rules_level_zero_and_one():
-    assert build_level_by_rules(FibTree(7, -3), 0) == [(7, U, None)]
-    assert build_level_by_rules(T01, 1) == [(0, U, 1), (1, V, 1)]
+    assert build_levels(FibTree(7, -3), 0)[0] == [(7, U, None)]
+    assert build_levels(T01, 1)[1] == [(0, U, 1), (1, V, 1)]
 
 
 def test_rules_level_five_is_the_interval():
-    got = build_level_by_rules(T01, 5)
+    got = build_levels(T01, 5)[5]
     assert [x[0] for x in got] == list(range(-7, 6))
     assert "".join(x[1] for x in got) == word(5).letters
 
 
 def test_rules_cap():
     with pytest.raises(ValueError, match="cap"):
-        build_level_by_rules(T01, 15, max_level=12)
+        build_levels(T01, 15, max_level=12)
 
 
 def test_rules_equal_closed_form_small_grid():
@@ -98,6 +101,19 @@ def test_node_queries_match_rules_everywhere():
                 assert node_label(t, NodeRef(n, pos)) == (label, letter)
                 if n > 0:
                     assert parent_label(t, NodeRef(n, pos)) == levels[n - 1][ppos - 1][0]
+
+
+def test_u_nodes_match_closed_forms():
+    for t in (T01, T12, FibTree(-2, 3)):
+        got = list(u_nodes(t, 12))
+        want = [
+            (n, pos, node_label(t, NodeRef(n, pos))[0], parent_label(t, NodeRef(n, pos)), letter_at(u_count(pos)))
+            for n in range(1, 13)
+            for pos in range(1, t.width(n) + 1)
+            if letter_at(pos) == U
+        ]
+        assert got == want
+    assert list(u_nodes(T01, 0)) == []
 
 
 def test_parent_child_duality():
@@ -171,3 +187,19 @@ def test_big_levels_stay_exact():
     assert level_interval(T01, 120).hi == fib(120)
     label, _ = node_label(T01, NodeRef(120, 1))
     assert label == fib(120) - fib(122) + 1
+
+
+def test_node_label_matches_wythoff_route_on_deep_levels():
+    # the paper's second route: lo - 1 + u(k) at the k-th u-node, lo - 1 + v(l) at the l-th v-node
+    rng = random.Random(4785)
+    for t in (T01, FibTree(-7, 12)):
+        for n in (120, 4785):
+            lo, width = t.lo(n), t.width(n)
+            positions = list(range(1, 40)) + list(range(width - 40, width + 1))
+            positions += [rng.randint(1, width) for _ in range(200)]
+            for pos in positions:
+                label, letter = node_label(t, NodeRef(n, pos))
+                if letter == U:
+                    assert label == lo - 1 + u(u_count(pos))
+                else:
+                    assert label == lo - 1 + v(v_count(pos))

@@ -1,3 +1,6 @@
+import random
+from decimal import Decimal, localcontext
+
 import pytest
 
 from fibtree.fibword import U
@@ -81,6 +84,32 @@ def test_g_small_values():
 def test_g_matches_recursion_definition():
     for n in range(1, 2000):
         assert hofstadter_g(n) == n - hofstadter_g(hofstadter_g(n - 1))
+
+
+def test_g_matches_bottom_up_recursion_list():
+    # the recursion built locally, never through hofstadter_g
+    g = [0]
+    for n in range(1, 2 * 10**5):
+        g.append(n - g[g[n - 1]])
+    assert [hofstadter_g(n) for n in range(2 * 10**5)] == g
+
+
+def g_decimal_oracle(n: int) -> int:
+    """floor((n+1)/phi) = floor((n+1)*(sqrt(5)-1)/2), with sqrt(5) at twice the digits of n."""
+    digits = 2 * len(str(n)) + 10
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        sqrt5 = int(Decimal(5).sqrt() * Decimal(10) ** digits)
+    return (n + 1) * (sqrt5 - 10**digits) // (2 * 10**digits)
+
+
+@pytest.mark.parametrize("digits", [60, 1000])
+def test_g_closed_form_on_huge_n(digits):
+    rng = random.Random(digits)
+    for _ in range(20):
+        n = rng.randint(10 ** (digits - 1), 10**digits)
+        assert hofstadter_g(n) == g_decimal_oracle(n)
+    assert hofstadter_g(10**digits) == g_decimal_oracle(10**digits)
 
 
 def test_g_equals_u_count_of_the_infinite_word():
