@@ -9,8 +9,8 @@ integer arithmetic, with no floating point anywhere in the core.
 """
 
 from .goldring import Atom, GoldInt, MapWord, fib, fixed_point, gold_sign, phi_pow
-from .wythoff import FibSeq, WythoffPair, primitive_rank, reference_index, u, u_inverse, v
-from .fibword import Word, letter_at, parent_position, u_count, v_count, word
+from .wythoff import FibSeq, reference_index, u, u_inverse, v
+from .fibword import Word, letter_at, u_count, v_count, word
 from .tree import (
     FibTree,
     LevelLabeling,
@@ -36,7 +36,7 @@ from .represent import (
 from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
 from .warray import WythoffArray, hofstadter_g, hofstadter_levels, primitive_pairs_in_tree, wythoff_array
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Atom",
@@ -51,7 +51,6 @@ __all__ = [
     "TreeClass",
     "Word",
     "WythoffArray",
-    "WythoffPair",
     "branch_sequence",
     "build_levels",
     "children_labels",
@@ -70,10 +69,8 @@ __all__ = [
     "level_interval",
     "node_label",
     "parent_label",
-    "parent_position",
     "phi_pow",
     "primitive_pairs_in_tree",
-    "primitive_rank",
     "reference_index",
     "scalar_mul",
     "self_containment",

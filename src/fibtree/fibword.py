@@ -66,7 +66,12 @@ def letter_at(i: int) -> str:
 
 
 def u_count(i: int) -> int:
-    """Number of u letters at positions 1..i inclusive."""
+    """Number of u letters at positions 1..i inclusive.
+
+    This is also the position, in the previous level, of the letter that
+    generates position i under the substitutions u -> uv, v -> u: each u
+    to the left of the generator adds two letters, each v one.
+    """
     if i < 1:
         raise ValueError(f"position must be >= 1, got {i}")
     return u(i + 1) - (i + 1)
@@ -76,12 +81,3 @@ def v_count(i: int) -> int:
     """Number of v letters at positions 1..i inclusive."""
     return i - u_count(i)
 
-
-def parent_position(i: int) -> int:
-    """Position in the previous level of the letter that generates position i.
-
-    Under the substitutions u -> uv, v -> u this is the inclusive
-    u-count at i: u's to the left of the generator each add two letters,
-    v's add one.
-    """
-    return u_count(i)

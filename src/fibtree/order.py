@@ -9,11 +9,13 @@ enumerating inverse-map ancestors to a bounded depth; an empty result
 bounds the search, it proves nothing.
 
 Searches cost what the bit length of their inputs asks, not what the
-cap or 2^depth allows: `is_subtree` steps the level edges by additions
+cap or 2^depth allows: `is_subtree` runs the witness scan that
+`represent.find_sequence` runs too, `represent.first_witness`, which
+steps the level edges by additions, jumps past the levels out of range
 and stops once the shift-lemma cutoff or the range test shows that no
-later level can hold the child, and `self_containment` prunes every
-branch that has left the window around its fixed points.  A subtree
-miss (None) reads "not found up to the cap", and it takes O(bit length)
+later level can hold the child; `self_containment` prunes every branch
+that has left the window around its fixed points.  A subtree miss
+(None) reads "not found up to the cap", and it takes O(bit length)
 levels to establish.
 """
 
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 from .goldring import PHI_CUBED, Atom, GoldInt, MapWord, _apply_atom, gold_sign
 from .fibword import U, letter_at, u_count
+from .represent import first_witness
 from .tree import FibTree
-from .wythoff import u
 
 DEFAULT_SUBTREE_CAP = 30
 DEFAULT_SEARCH_DEPTH = 10
@@ -66,75 +68,19 @@ def is_subtree(
 ) -> SubtreeWitness | None:
     """First witness that child sits inside parent, scanning levels 1..cap.
 
-    Write (c, d) for the child, D = d - c (``rank`` below), E_n = lo(n) - 1
-    and H_n = hi(n) for the parent's level edges.  E and H follow the
-    Fibonacci recursion, so each level costs a few additions.  At level n
-    a u-node whose v-child carries d has a parent labeled D, which pins
-    its u-count k = D - E_{n-1}.  The level holds the witness when
-    1 <= k <= F_{n+1} (equivalently E_{n-1} < D <= H_{n-1}) and
-    E_n + u(k) == c; the witness sits at pos = u(k) = c - E_n.
-
-    Cutoff.  With eps_n = E_n - E_{n-1}*phi, k*phi = D*phi - E_n + eps_n,
-    so for k >= 1 the test reads floor(D*phi + eps_n) == c.  Since E is a
-    Fibonacci sequence, eps_{n+1} = (1 - phi)*eps_n: |eps_n| shrinks by a
-    factor phi per level and its sign alternates (eps is 0 only for the
-    parent F[1,2]).  For D != 0, frac = D*phi - u(D) lies in (0, 1), and
-    once |eps_n| < min(frac, 1 - frac), 0 < frac + eps_m < 1 for every
-    m >= n: from level n on the test is the constant u(D) == c.  A false
-    constant leaves nothing to find; a true one makes the first later
-    level in range the witness.  For D = 0 the test reads
-    floor(eps_n) == c; once |eps_n| < 1 it is 0 for eps_n >= 0 and -1
-    below, so only c in {0, -1} can still hit, at the levels where the
-    sign of eps_n fits.  The bounds are exact gold_sign tests.  They hold
-    within O(bit length) levels: the norm |p^2 - pq - q^2| >= 1 of
-    p - q*phi gives min(frac, 1 - frac) >= 1/(1 + sqrt(5)*|D|), while
-    |eps_1| <= |E_0|*phi + |E_1|.
-
-    Range.  When E_{n-1}, E_n >= max(D, 0), E is nondecreasing from n on
-    and stays >= D; when H_{n-1}, H_n < min(D, 1), H is nonincreasing and
-    stays < D.  Either way no later level is in range, and the scan stops.
-    A nonzero Fibonacci sequence settles into one sign within O(bit
-    length) terms and then grows geometrically, so in every case the scan
-    ends within O(bit length of the labels) levels, whatever the cap.
-    None means "not found up to the cap".
+    The witness is the first u-node of the parent that carries the
+    child's root label c and whose v-child carries its second label d,
+    located by `represent.first_witness`: its scan and its shift-lemma
+    cutoff end within O(bit length of the labels) levels, whatever the
+    cap.  None means "not found up to the cap".
     """
     if child == parent:
         return SubtreeWitness(0, 1, MapWord())
-    c, rank = child.a, child.b - child.a
-    # (E_{n-1}, E_n) and (H_{n-1}, H_n) at level n = 1
-    e0, e1 = parent.a - 1, parent.b - 2
-    h0, h1 = parent.a, parent.b
-    if rank:
-        ud = u(rank)
-        # min(frac, 1 - frac) with frac = rank*phi - u(rank)
-        if gold_sign(GoldInt(-2 * ud - 1, 2 * rank)) < 0:
-            margin = GoldInt(-ud, rank)
-        else:
-            margin = GoldInt(1 + ud, -rank)
-    else:
-        margin = GoldInt(1, 0)
-    settled = False
-    for n in range(1, level_cap + 1):
-        if min(e0, e1) >= max(rank, 0) or max(h0, h1) < min(rank, 1):
-            return None
-        eps = GoldInt(e1, -e0)
-        if not settled and gold_sign(margin - eps) > 0 and gold_sign(margin + eps) > 0:
-            settled = True
-            if rank and c != ud or not rank and c not in (0, -1):
-                return None
-        if e0 < rank <= h0:
-            if not settled:
-                hit = e1 + u(rank - e0) == c
-            elif rank:
-                hit = True
-            else:
-                hit = (gold_sign(eps) >= 0) == (c == 0)
-            if hit:
-                pos = c - e1
-                return SubtreeWitness(n, pos, _word_to(n, pos))
-        e0, e1 = e1, e0 + e1
-        h0, h1 = h1, h0 + h1
-    return None
+    found = first_witness(child.a, child.b - child.a, parent, level_cap)
+    if found is None:
+        return None
+    level, pos = found
+    return SubtreeWitness(level, pos, _word_to(level, pos))
 
 
 def subtree_at(t: FibTree, w: MapWord) -> FibTree:

@@ -11,10 +11,12 @@ Both searches cost what the bit length of their inputs asks, not one
 step per level: a target's row start is located from the bit lengths of
 its seed, and the level scans step the level edges by additions only
 until the edges settle, then jump to within a few levels of the first
-level whose interval can hold the answer.  A located branch is fixed by
-its pair, so the searches return it without replaying it; the replay is
-`verify.check_find_sequence`, and `count_occurrences` is the brute-force
-count over rule-built levels.
+level whose interval can hold the answer.  A sequence sits in a tree as
+a copy of its row's subtree, so `find_sequence` and `order.is_subtree`
+share one witness scan, `first_witness`, with one shift-lemma cutoff.
+A located branch is fixed by its pair, so the searches return it without
+replaying it; the replay is `verify.check_find_sequence`, and
+`count_occurrences` is the brute-force count over rule-built levels.
 """
 
 from __future__ import annotations
@@ -162,6 +164,64 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
         k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
 
 
+def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, int] | None:
+    """(level, pos) of the first u-node of t on levels 0..level_cap labeled c whose v-child carries c + rank.
+
+    Write D = rank, E_n = lo(n) - 1 and H_n = hi(n) for t's level edges.
+    A u-node labeled c whose v-child carries c + D has a parent labeled D
+    (the root counts as the child of a node labeled b - a = H_(-1)),
+    which pins its u-count k = D - E_(n-1) at level n.  The level holds
+    the witness when 1 <= k <= F_(n+1), that is E_(n-1) < D <= H_(n-1),
+    and E_n + u(k) == c; the witness sits at pos = u(k) = c - E_n.
+    `_in_range` yields exactly the levels where the range holds.
+
+    Cutoff.  With eps_n = E_n - E_(n-1)*phi, k*phi = D*phi - E_n + eps_n,
+    so for k >= 1 the test reads floor(D*phi + eps_n) == c.  Since E is a
+    Fibonacci sequence, eps_(n+1) = (1 - phi)*eps_n: |eps_n| shrinks by a
+    factor phi per level and its sign alternates (eps is 0 only for
+    t = F[1,2]).  For D != 0, frac = D*phi - u(D) lies in (0, 1), and
+    once |eps_n| < min(frac, 1 - frac), 0 < frac + eps_m < 1 for every
+    m >= n: from level n on the test is the constant u(D) == c.  For
+    D = 0 the test reads floor(eps_n) == c; once |eps_n| < 1 it is 0 for
+    eps_n >= 0 and -1 below.  So when u(D) != c, or D = 0 and c is not 0
+    or -1, the scan stops at the first level in range past the cutoff:
+    no later level can hold the witness.  Otherwise the constant needs no
+    test of its own: from the cutoff on, the first level in range hits
+    (for D = 0, one of the first two, as the sign of eps alternates).
+    The bounds are exact gold_sign tests.  They hold within O(bit length)
+    levels: the norm |p^2 - pq - q^2| >= 1 of p - q*phi gives
+    min(frac, 1 - frac) >= 1/(1 + sqrt(5)*|D|), while
+    |eps_1| <= |E_0|*phi + |E_1|.
+
+    Once the edges settle, each half of the range test flips at most
+    once, so the levels in range either end, and so does `_in_range`, or
+    include every level from some point on.  In every case the scan ends
+    within O(bit length of the labels and D) levels, whatever the cap.
+    """
+    margin = None
+    if rank:
+        ud = u(rank)
+        if ud != c:
+            # min(frac, 1 - frac) with frac = rank*phi - u(rank)
+            if gold_sign(GoldInt(-2 * ud - 1, 2 * rank)) < 0:
+                margin = GoldInt(-ud, rank)
+            else:
+                margin = GoldInt(1 + ud, -rank)
+    elif c not in (0, -1):
+        margin = GoldInt(1, 0)
+    for k, e0, e1 in _in_range(t, rank, rank, -1):
+        level = k + 1
+        if level > level_cap:
+            return None
+        if margin is not None:
+            eps = GoldInt(e1, -e0)
+            if gold_sign(margin - eps) > 0 and gold_sign(margin + eps) > 0:
+                return None
+        if e1 + u(rank - e0) == c:
+            return level, c - e1
+    return None
+
+
 def _row_alignment(s: FibSeq) -> tuple[int, int]:
     """(j, shift) with s.pair(shift) == (u(u(j)), v(u(j))), j over all of Z.
 
@@ -219,19 +279,19 @@ def _below_inverse_phi(t0: int, t1: int) -> bool:
 def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> Occurrence:
     """A primitive branch of t realizing s: the canonical pair's first appearance.
 
-    Nonzero targets are first aligned to their row start (u(u(j)), v(u(j)));
-    the level scan then looks for the index i_n = j - e(n-2) with
-    1 <= i_n <= F_n and u(i_n) + e(n-1) == u(j), where e(m) = lo(m) - 1.
-    When both hold, the i_n-th u-node of level n-1 carries u(j) and its
-    u-child carries u(u(j)), rooting the wanted branch.  The zero target
-    uses the same scan with the pair (0, 0): i_n = 1 - e(n-2) and
-    u(i_n) + e(n-1) == 0, which has a unique solution.
+    Nonzero targets are first aligned to their row start (u(u(j)), v(u(j))).
+    The branch it seeds shows up in t as a copy of the row's subtree
+    F[u(j), v(j)]: the first u-node carrying u(j) whose v-child carries
+    v(j) = u(j) + j has the u-child u(u(j)) = v(j) - 1, a u-node under a
+    u-node, and that child's v-child carries u(j) + u(u(j)) = v(u(j)).
+    So the search is `first_witness(u(j), j, ...)` one level up, the
+    same scan and cutoff that `order.is_subtree` runs; the zero target
+    is the subtree F[0,1], whose root's u-child carries 0 and has the
+    v-child 0.
 
-    The range 1 <= i_n <= F_n is e(n-2) < j <= hi(n-2), so `_in_range`
-    supplies exactly the levels where it holds, and the levels it skips
-    cannot hold the branch.  Both the alignment and the skip cost O(1)
-    big-int operations, so a 10^3-digit target costs what its bit length
-    asks, not one step per level.
+    Both the alignment and the scan's jump over the levels out of range
+    cost O(1) big-int operations, so a 10^3-digit target costs what its
+    bit length asks, not one step per level.
 
     RepresentsZ trees realize every target below some level.  One-sided
     trees carry only targets of their own sign (other signs raise
@@ -244,21 +304,17 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     if cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
     if s.is_zero():
-        want, target_u, shift = 1, 0, 0
+        c, rank, shift = 0, 1, 0
     else:
-        want, shift = _row_alignment(s)
-        target_u = u(want)
-    # level n tests the edges e(n-2), e(n-1)
-    for k, e0, e1 in _in_range(t, want, want, -1):
-        n = k + 2
-        if n > level_cap:
-            break
-        i = want - e0
-        if u(i) + e1 == target_u:
-            return Occurrence(n, u(u(i)), s.pair(shift), shift, True)
-    raise ValueError(
-        f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
-    )
+        rank, shift = _row_alignment(s)
+        c = u(rank)
+    found = first_witness(c, rank, t, level_cap - 1)
+    if found is None:
+        raise ValueError(
+            f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
+        )
+    level, pos = found
+    return Occurrence(level + 1, u(pos), s.pair(shift), shift, True)
 
 
 def _equivalent(s1: FibSeq, s2: FibSeq) -> bool:

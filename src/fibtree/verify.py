@@ -350,13 +350,33 @@ def check_lemma_witnesses(
 
 
 def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
-    """is_subtree agrees with scanning rule-built levels for the witness node."""
+    """is_subtree agrees with scanning rule-built levels for the witness node.
+
+    The scan itself, `u_nodes`, is first held against the closed forms:
+    the u positions of each level, and at each the node label, the parent
+    label and the parent's letter.
+    """
     failures = []
     trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
+    # (level, pos, parent letter) of every u position: the same in every tree
+    positions = [
+        (n, pos, letter_at(u_count(pos)))
+        for n in range(1, cap + 1)
+        for pos in range(1, fib(n + 2) + 1)
+        if letter_at(pos) == U
+    ]
     for parent in trees:
+        scanned = list(u_nodes(parent, cap))
+        closed = [
+            (n, pos, node_label(parent, NodeRef(n, pos))[0], parent_label(parent, NodeRef(n, pos)), above)
+            for n, pos, above in positions
+        ]
+        if scanned != closed:
+            bad = next((x, y) for x, y in zip(scanned + [None], closed + [None]) if x != y)
+            failures.append(_fail("u-nodes", f"{parent}: scan gives {bad[0]}, closed form {bad[1]}"))
         # first level of each (label, parent label) of a u-node
         first: dict[tuple[int, int], int] = {}
-        for n, _, label, above_label, _ in u_nodes(parent, cap):
+        for n, _, label, above_label, _ in scanned:
             first.setdefault((label, above_label), n)
         for child in trees:
             witness = is_subtree(child, parent, level_cap=cap)

@@ -49,37 +49,6 @@ def u_inverse(y: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class WythoffPair:
-    """One column of the pair table: rank n with (u(n), v(n))."""
-
-    rank: int
-    u_val: int
-    v_val: int
-
-    @classmethod
-    def at(cls, rank: int) -> WythoffPair:
-        uv = u(rank)
-        return cls(rank, uv, uv + rank)
-
-
-def primitive_rank(pair: tuple[int, int]) -> int | None:
-    """Rank j in Z* with pair == (u(u(j)), v(u(j))), or None.
-
-    The candidate is recovered by inverting the Beatty map twice with
-    exact checks.  The pair (-2, -3) sits at rank -1 = u(0) and is
-    rejected because 0 is outside Z*.
-    """
-    c, d = pair
-    rank = d - c
-    if u(rank) != c:
-        return None
-    j = u_inverse(rank)
-    if j is None or j == 0:
-        return None
-    return j
-
-
-@dataclass(frozen=True)
 class FibSeq:
     """A bidirectional Fibonacci sequence seeded by its index-0 and index-1 terms."""
 

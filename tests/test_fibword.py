@@ -1,6 +1,6 @@
 import pytest
 
-from fibtree.fibword import U, V, letter_at, parent_position, u_count, v_count, word
+from fibtree.fibword import U, V, letter_at, u_count, v_count, word
 from fibtree.goldring import fib
 from fibtree.wythoff import u, v
 
@@ -93,7 +93,8 @@ def test_position_identities_both_letters():
 
 @pytest.mark.parametrize("i,want", [(5, 3), (1, 1), (6, 4)])
 def test_parent_position_examples(i, want):
-    assert parent_position(i) == want
+    # the parent position of a letter is its inclusive u-count
+    assert u_count(i) == want
 
 
 def test_parent_position_replays_substitution():
@@ -104,11 +105,11 @@ def test_parent_position_replays_substitution():
         for pos, c in enumerate(src, 1):
             origins.extend([pos, pos] if c == U else [pos])
         for i, want in enumerate(origins, 1):
-            assert parent_position(i) == want
+            assert u_count(i) == want
 
 
 def test_position_validation():
-    for fn in (letter_at, u_count, v_count, parent_position):
+    for fn in (letter_at, u_count, v_count):
         with pytest.raises(ValueError):
             fn(0)
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from fibtree import order
+from fibtree import represent
 from fibtree.fibword import U
 from fibtree.goldring import Atom, MapWord, _apply_atom, fib
 from fibtree.order import is_subtree, least_upper_bound, self_containment, subtree_at
@@ -293,14 +293,14 @@ def test_is_subtree_matches_rule_built_levels_at_cap_20():
 
 def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
     calls = 0
-    real_u = order.u
+    real_u = represent.u
 
     def counting_u(n):
         nonlocal calls
         calls += 1
         return real_u(n)
 
-    monkeypatch.setattr(order, "u", counting_u)
+    monkeypatch.setattr(represent, "u", counting_u)
     known = {(c, d) for c in range(-30, 31) for d in range(-30, 31)}
     misses = [(7, 4)] + [cd for cd in sorted(known) if is_subtree(FibTree(*cd), T01, 40) is None][::37]
     for c, d in misses:
@@ -336,3 +336,18 @@ def test_lub_matches_ancestor_sets_rebuilt_per_radius():
         got = least_upper_bound(t1, t2, depth)
         assert {(x.a, x.b) for x in got} <= common
         assert bool(got) == bool(common)
+
+
+def test_order_brute_force_check_catches_a_dropped_u_node(monkeypatch):
+    from fibtree import verify
+
+    assert verify.check_order_brute_force(grid=1, cap=10) == []
+    real_u_nodes = verify.u_nodes
+
+    def dropping(t, n):
+        return (node for node in real_u_nodes(t, n) if node[:2] != (9, 4))
+
+    monkeypatch.setattr(verify, "u_nodes", dropping)
+    failures = verify.check_order_brute_force(grid=1, cap=10)
+    assert len(failures) == 9
+    assert {f["check"] for f in failures} == {"u-nodes"}

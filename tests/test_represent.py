@@ -4,10 +4,12 @@ import pytest
 
 from fibtree.fibword import U, letter_at, u_count
 from fibtree.goldring import GoldInt, fib, gold_sign
+from fibtree.order import is_subtree
 from fibtree.represent import (
     Occurrence,
     TreeClass,
     _edge_seq,
+    _row_alignment,
     classify,
     count_occurrences,
     find_interval_level,
@@ -237,6 +239,22 @@ def test_find_sequence_every_small_seed_in_samples():
                 occ = find_sequence(t, s, level_cap=60)
                 got = branch_sequence(t, NodeRef(occ.level, occ.pos), 10)
                 assert got == [s.term(occ.shift + k) for k in range(10)]
+
+
+def test_find_sequence_is_the_row_subtree_one_level_down():
+    # s sits in t as a copy of its row's subtree F[u(j), v(j)], the zero seed as F[0,1]
+    for t in SAMPLES:
+        for c in range(-10, 11):
+            for d in range(-10, 11):
+                s = FibSeq(c, d)
+                if s.is_zero():
+                    row = FibTree(0, 1)
+                else:
+                    j, _ = _row_alignment(s)
+                    row = FibTree(u(j), v(j))
+                occ = find_sequence(t, s)
+                w = is_subtree(row, t, level_cap=occ.level)
+                assert (occ.level, occ.pos) == (w.level + 1, u(w.pos)), (t, s)
 
 
 def test_find_sequence_sign_mismatch_raises():

@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibtree.verify import TABLE_RANKS, TABLE_U, TABLE_V, beatty_oracle
-from fibtree.wythoff import FibSeq, WythoffPair, primitive_rank, reference_index, u, u_inverse, v
+from fibtree.represent import _row_alignment
+from fibtree.wythoff import FibSeq, reference_index, u, u_inverse, v
 
 
 def test_pair_table_fixture():
@@ -36,13 +37,6 @@ def test_identities_large(n):
     assert v(n) == u(u(n)) + 1
     if n != 0:
         assert u(n) == beatty_oracle(n)
-
-
-def test_wythoff_pair_invariants():
-    for n in (-9, -1, 0, 1, 5, 123):
-        p = WythoffPair.at(n)
-        assert p.v_val == p.u_val + p.rank
-        assert p.v_val == u(p.u_val) + 1
 
 
 def test_u_inverse_round_trip():
@@ -85,7 +79,9 @@ def test_complementarity_up_to_100k():
     ],
 )
 def test_primitive_rank(pair, want):
-    assert primitive_rank(pair) == want
+    # a pair is primitive of rank j in Z* when it is the row start (u(u(j)), v(u(j)))
+    j, shift = _row_alignment(FibSeq(*pair))
+    assert (j if shift == 0 and j != 0 else None) == want
 
 
 def test_fibseq_term_matches_seed_and_recursion():
