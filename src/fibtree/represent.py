@@ -92,11 +92,6 @@ def find_interval_level(t: FibTree, lo: int, hi: int) -> int:
     return next(_in_range(t, lo, hi, 0))[0]
 
 
-def _edge_seq(t: FibTree) -> FibSeq:
-    # Terms equal lo(n) - 1: the label just left of each level.
-    return FibSeq(t.a - 1, t.b - 2)
-
-
 def _steps_below(g0: int, g1: int, y: int) -> int:
     """A count s >= 0 with G_(k+1), ..., G_(k+s) < y, given G_k, G_(k+1) >= 0.
 
@@ -137,7 +132,7 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
     In a RepresentsZ tree E is falling and H rising once settled, so the
     scan never ends and yields every index from its first hit on.
     """
-    edge, top = _edge_seq(t), t.seq()
+    edge, top = t.edges(), t.seq()
     e0, e1, h0, h1 = edge.c, edge.d, top.c, top.d
     for _ in range(-k):
         e0, e1, h0, h1 = e1 - e0, e0, h1 - h0, h0

@@ -2,14 +2,15 @@
 
 A tree is identified by two integers: root label a, and b the label of
 the root's v-child.  Level n then carries exactly the consecutive
-integers from lo(n) = hi(n) - F_{n+2} + 1 to hi(n), where hi follows the
-Fibonacci recursion from (a, b).  Every node query here has one closed
-form, O(1) in big-int operations: the node at position pos of level n
-is labeled lo(n) + pos - 1 and lettered like position pos of the
-infinite Fibonacci word.  `build_levels` applies the three child
-labeling rules literally, and `u_nodes` walks its u-nodes; they are the
-brute-force route that the occurrence counts and the `verify` suites
-compare the closed forms against.
+integers from lo(n) to hi(n) = lo(n) + F_{n+2} - 1.  Both level edges
+follow the Fibonacci recursion: `seq()` gives hi from (a, b), and
+`edges()` gives lo(n) - 1 = hi(n) - F_{n+2} from (a - 1, b - 2).  Every
+node query here has one closed form, O(1) in big-int operations: the
+node at position pos of level n is labeled lo(n) + pos - 1 and lettered
+like position pos of the infinite Fibonacci word.  `build_levels`
+applies the three child labeling rules literally, and `u_nodes` walks
+its u-nodes; they are the brute-force route that the occurrence counts
+and the `verify` suites compare the closed forms against.
 """
 
 from __future__ import annotations
@@ -42,13 +43,17 @@ class FibTree:
         """Rightmost labels per level, as a Fibonacci sequence."""
         return FibSeq(self.a, self.b)
 
+    def edges(self) -> FibSeq:
+        """Left level edges lo(n) - 1, as a Fibonacci sequence."""
+        return FibSeq(self.a - 1, self.b - 2)
+
     def hi(self, n: int) -> int:
         """Rightmost label at level n."""
         return self.seq().term(n)
 
     def lo(self, n: int) -> int:
         """Leftmost label at level n."""
-        return self.hi(n) - fib(n + 2) + 1
+        return self.edges().term(n) + 1
 
     def width(self, n: int) -> int:
         return fib(n + 2)

@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -246,3 +248,148 @@ def test_tree_rejects_negative_levels(capsys, fmt):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: level must be >= 0, got -3\n"
+
+
+# Full stdout of one argv per subcommand, per tree format and per array
+# format, pinned byte for byte; only tool_version is masked.
+PINNED = [
+    (
+        "tree --id -1,2 --levels 2",
+        0,
+        '{"command": "tree", "result": {"id": [-1, 2], "levels": [{"hi": -1, "level": 0, "lo": -1, "nodes": [{"label": -1, "letter": "u", "parent_pos": null}]}, {"hi": 2, "level": 1, "lo": 1, "nodes": [{"label": 1, "letter": "u", "parent_pos": 1}, {"label": 2, "letter": "v", "parent_pos": 1}]}, {"hi": 1, "level": 2, "lo": -1, "nodes": [{"label": -1, "letter": "u", "parent_pos": 1}, {"label": 0, "letter": "v", "parent_pos": 1}, {"label": 1, "letter": "u", "parent_pos": 2}]}]}, "tool_version": "*"}\n',
+    ),
+    (
+        "tree --id -1,2 --levels 3 --format ascii",
+        0,
+        """\
+tree F[-1,2]
+level 0: [-1 .. -1] u
+level 1: [1 .. 2] uv
+level 2: [-1 .. 1] uvu
+level 3: [-1 .. 3] uvuuv
+""",
+    ),
+    (
+        "tree --id 0,1 --levels 2 --format dot",
+        0,
+        """\
+digraph "F[0,1]" {
+  n0_1 [label="0", shape=ellipse];
+  n1_1 [label="0", shape=ellipse];
+  n1_2 [label="1", shape=triangle];
+  n2_1 [label="-1", shape=ellipse];
+  n2_2 [label="0", shape=triangle];
+  n2_3 [label="1", shape=ellipse];
+  n0_1 -> n1_1;
+  n0_1 -> n1_2;
+  n1_1 -> n2_1;
+  n1_1 -> n2_2;
+  n1_2 -> n2_3;
+}
+""",
+    ),
+    (
+        "array --rows 2 --cols 4",
+        0,
+        '{"command": "array", "result": {"rows": [[1, 2, 3, 5], [4, 7, 11, 18]]}, "tool_version": "*"}\n',
+    ),
+    (
+        "array --rows 3 --cols 5 --format csv",
+        0,
+        """\
+1,2,3,5,8
+4,7,11,18,29
+6,10,16,26,42
+""",
+    ),
+    (
+        "wythoff --from -2 --to 2",
+        0,
+        '{"command": "wythoff", "result": {"pairs": [{"n": -2, "u": -4, "v": -6}, {"n": -1, "u": -2, "v": -3}, {"n": 0, "u": -1, "v": -1}, {"n": 1, "u": 1, "v": 2}, {"n": 2, "u": 3, "v": 5}]}, "tool_version": "*"}\n',
+    ),
+    (
+        "sum --t1 0,1 --t2 -1,2",
+        0,
+        '{"command": "sum", "result": {"id": [-1, 3]}, "tool_version": "*"}\n',
+    ),
+    (
+        "classify --id -3,5",
+        0,
+        '{"command": "classify", "result": {"class": "PositiveSide"}, "tool_version": "*"}\n',
+    ),
+    (
+        "find-seq --id 0,1 --seq 2,1",
+        0,
+        '{"command": "find-seq", "result": {"level": 5, "pair": [4, 7], "pos": 12, "primitive": true, "shift": 3}, "tool_version": "*"}\n',
+    ),
+    (
+        "interval --id 0,1 --lo -7 --hi 5",
+        0,
+        '{"command": "interval", "result": {"level": 5}, "tool_version": "*"}\n',
+    ),
+    (
+        "subtree --child 1,2 --parent 0,1",
+        0,
+        '{"command": "subtree", "result": {"cap": 30, "contains": true, "witness": {"level": 2, "pos": 3, "word": ["R"]}}, "tool_version": "*"}\n',
+    ),
+    (
+        "self-contain --id 1,2 --depth 2",
+        0,
+        '{"command": "self-contain", "result": {"depth": 2, "words": [["L"], ["L", "L"]]}, "tool_version": "*"}\n',
+    ),
+    (
+        "lub --t1 -1,2 --t2 -3,5 --depth 4",
+        0,
+        '{"command": "lub", "result": {"depth": 4, "lub": [[18, -10]]}, "tool_version": "*"}\n',
+    ),
+    (
+        "hofstadter --levels 4",
+        0,
+        '{"command": "hofstadter", "result": {"levels": [{"hi": 1, "level": 0, "lo": 1}, {"hi": 2, "level": 1, "lo": 2}, {"hi": 3, "level": 2, "lo": 3}, {"hi": 5, "level": 3, "lo": 4}, {"hi": 8, "level": 4, "lo": 6}]}, "tool_version": "*"}\n',
+    ),
+    (
+        "g --n 10",
+        0,
+        '{"command": "g", "result": {"g": 6}, "tool_version": "*"}\n',
+    ),
+    (
+        "verify --suite group",
+        0,
+        '{"command": "verify", "result": {"checks_run": 2, "failures": [], "ok": true, "suites": ["group"]}, "tool_version": "*"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", PINNED, ids=[p[0] for p in PINNED])
+def test_pinned_output(monkeypatch, capsys, argv, code, stdout):
+    monkeypatch.delenv("FIBTREE_MAX_LEVEL", raising=False)
+    assert run(argv.split()) == code
+    captured = capsys.readouterr()
+    assert re.sub(r'"tool_version": "[^"]*"', '"tool_version": "*"', captured.out) == stdout
+    assert captured.err == ""
+
+
+def test_oracles_load_only_for_verify():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import fibtree.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            print(fibtree.cli.run(["classify", "--id", "0,1"]), file=sys.stderr)
+        print(sorted({"fibtree.verify", "decimal"} & set(sys.modules)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            print(fibtree.cli.run(["verify", "--suite", "group"]), file=sys.stderr)
+        print("fibtree.verify" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "0\n0\n")
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def test_suite_choices_match_verify():
+    from fibtree import cli, verify
+
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)

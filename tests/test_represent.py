@@ -8,7 +8,6 @@ from fibtree.order import is_subtree
 from fibtree.represent import (
     Occurrence,
     TreeClass,
-    _edge_seq,
     _row_alignment,
     classify,
     count_occurrences,
@@ -104,7 +103,7 @@ def _reference_row_alignment(s):
 
 def _reference_find_sequence(t, s, cap):
     """The level scan with every edge term and F_n rebuilt through fib()."""
-    edge = _edge_seq(t)
+    edge = t.edges()
     if s.is_zero():
         target_u, j, shift = 0, None, 0
     else:
