@@ -4,19 +4,24 @@ One tree sits inside another when some u-node of the host carries the
 guest's root label and its v-child carries the guest's second label;
 the guest is then reproduced label for label.  On identities this is
 generated by two affine maps: L descends to the first left subtree,
-R to the first right subtree (two levels down).  Joins are searched by
-enumerating inverse-map ancestors to a bounded depth; an empty result
-bounds the search, it proves nothing.
+R to the first right subtree (two levels down).
 
-Searches cost what the bit length of their inputs asks, not what the
-cap or 2^depth allows: `is_subtree` runs the witness scan that
-`represent.find_sequence` runs too, `represent.first_witness`, which
-steps the level edges by additions, jumps past the levels out of range
-and stops once the shift-lemma cutoff or the range test shows that no
-later level can hold the child; `self_containment` prunes every branch
-that has left the window around its fixed points.  A subtree miss
-(None) reads "not found up to the cap", and it takes O(bit length)
-levels to establish.
+`is_subtree` and `self_containment` cost what the bit length of their
+inputs asks, not what the cap or 2^depth allows: `is_subtree` runs the
+witness scan that `represent.find_sequence` runs too,
+`represent.first_witness`, which steps the level edges by additions,
+jumps past the levels out of range and stops once the shift-lemma cutoff
+or the range test shows that no later level can hold the child;
+`self_containment` prunes every branch that has left the window around
+its fixed points.  A subtree miss (None) reads "not found up to the
+cap", and it takes O(bit length) levels to establish.
+
+`least_upper_bound` is the exception: it enumerates the inverse-map
+ancestors of both trees, up to 2^(r+1) bare int pairs per tree at
+radius r, so its cost doubles with each level of depth.  It returns the
+containment-minimal trees of the first radius where the two ancestor
+sets meet; an empty result bounds the search, it proves nothing, and
+for a comparable pair that radius can stop short of the larger tree.
 """
 
 from __future__ import annotations
@@ -131,16 +136,9 @@ def self_containment(t: FibTree, depth: int) -> list[MapWord]:
     return hits
 
 
-def _widen(seen: set[tuple[int, int]], frontier: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """One inverse step from the frontier: add the new identities to seen, return them."""
-    fresh = set()
-    for a, b in frontier:
-        for atom in (Atom.LINV, Atom.RINV):
-            z = _apply_atom(atom, GoldInt(a, b))
-            if (z.a, z.b) not in seen:
-                fresh.add((z.a, z.b))
-    seen |= fresh
-    return fresh
+def _inverse_steps(front: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The identities one L^-1 or R^-1 step from the frontier, on bare int pairs."""
+    return {z for a, b in front for z in ((b - a, a + 1), (2 * a - b, b - a))}
 
 
 def least_upper_bound(
@@ -148,14 +146,21 @@ def least_upper_bound(
 ) -> list[FibTree]:
     """Nearest common ancestors found within the given inverse-word depth.
 
-    Widens the inverse-word radius one step at a time until the two
-    ancestor sets first intersect, then keeps the intersection's trees
-    containing no other candidate (containment decided by is_subtree up
-    to level_cap, default 4*depth + 2).  Stopping at the first nonempty
-    radius keeps far-off incomparable ancestors out of the answer.  An
-    empty list means nothing was found within the depth, not that no
-    upper bound exists.  Each radius steps only the identities first
-    reached at the previous one: A(d) = A(d-1) | step(A(d-1) - A(d-2)).
+    Widens both inverse-word radii one step at a time, on bare (a, b)
+    int pairs, until the two ancestor sets first meet, then returns the
+    trees of that intersection, in sorted (a, b) order, that contain no
+    other tree of it (containment decided by is_subtree up to level_cap,
+    default 4*depth + 2).  Stopping at the first nonempty radius keeps
+    far-off incomparable ancestors out of the answer, but it can stop
+    short of the larger tree of a comparable pair: F[163,264] sits
+    inside F[-1,2] at level 12, yet at depth 8 the answer is [F[3,0]],
+    met at radius 6 before F[-1,2] is reached at radius 8.  An empty
+    list means nothing was found within the depth, not that no upper
+    bound exists.  Each radius steps only the identities first reached
+    at the previous one, A(d) = A(d-1) | step(A(d-1) - A(d-2)), but
+    A(d) still holds up to 2^(d+1) identities: the cost doubles with
+    each level of depth (a miss took about 2 ms at depth 10 and 45 ms
+    at depth 14).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -164,9 +169,12 @@ def least_upper_bound(
     seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
     front1, front2 = set(seen1), set(seen2)
     for _ in range(depth):
-        if seen1 & seen2:
+        if not seen1.isdisjoint(seen2):
             break
-        front1, front2 = _widen(seen1, front1), _widen(seen2, front2)
+        front1 = _inverse_steps(front1) - seen1
+        front2 = _inverse_steps(front2) - seen2
+        seen1 |= front1
+        seen2 |= front2
     common = sorted(seen1 & seen2)
     if not common:
         return []

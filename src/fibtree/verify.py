@@ -17,10 +17,11 @@ from __future__ import annotations
 import random
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from itertools import product
 
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
-from .goldring import Atom, GoldInt, MapWord, fib, gold_sign, phi_pow
+from .goldring import Atom, GoldInt, MapWord, _apply_atom, fib, gold_sign, phi_pow
 from .order import is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import (
     TreeClass,
@@ -425,8 +426,6 @@ def check_self_containment(grid: int = 6, depth: int = 10) -> list[dict]:
 def check_order_map_consistency(depth: int = 6) -> list[dict]:
     """Every forward word lands on an actual subtree of its source tree."""
     failures = []
-    from itertools import product
-
     for t in (FibTree(0, 1), FibTree(1, 0), FibTree(-1, 2), FibTree(2, -1)):
         for length in range(1, depth + 1):
             for atoms in product((Atom.L, Atom.R), repeat=length):
@@ -437,7 +436,8 @@ def check_order_map_consistency(depth: int = 6) -> list[dict]:
     return failures
 
 
-def check_lub(depth: int = 4) -> list[dict]:
+def check_lub(depth: int = 4, grid: int = 3) -> list[dict]:
+    """Three documented joins, then every pair of trees on the +-grid."""
     failures = []
     got = least_upper_bound(FibTree(-1, 2), FibTree(-3, 5), depth)
     if got != [FibTree(18, -10)]:
@@ -448,6 +448,24 @@ def check_lub(depth: int = 4) -> list[dict]:
     t = FibTree(4, -3)
     if least_upper_bound(t, t, depth) != [t]:
         failures.append(_fail("lub-reflexive", f"{t}"))
+    # Every pair of the +-grid against ancestor sets built through GoldInt and
+    # _apply_atom: the containment-minimal part of the first radius where they meet.
+    trees = [FibTree(a, b) for a, b in product(range(-grid, grid + 1), repeat=2)]
+    rings = {}
+    for t in trees:
+        layer, rings[t] = [t.gold()], [{(t.a, t.b)}]
+        for _ in range(depth):
+            layer = [_apply_atom(atom, z) for z in layer for atom in (Atom.LINV, Atom.RINV)]
+            rings[t].append(rings[t][-1] | {(z.a, z.b) for z in layer})
+    inside = lru_cache(maxsize=None)(lambda y, x: is_subtree(FibTree(*y), FibTree(*x), 4 * depth + 2))
+    for i, t1 in enumerate(trees):
+        for t2 in trees[i + 1 :]:
+            common = next((c for c in map(set.intersection, rings[t1], rings[t2]) if c), set())
+            want = [FibTree(*x) for x in sorted(common) if not any(y != x and inside(y, x) for y in common)]
+            got = least_upper_bound(t1, t2, depth)
+            if got != want:
+                failures.append(_fail("lub-oracle", f"join of {t1}, {t2}: {[str(t) for t in got]}"))
+                return failures
     return failures
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from fibtree import represent
 from fibtree.fibword import U
-from fibtree.goldring import Atom, MapWord, _apply_atom, fib
-from fibtree.order import is_subtree, least_upper_bound, self_containment, subtree_at
+from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib
+from fibtree.order import _inverse_steps, is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
 from fibtree.wythoff import u
 
@@ -21,6 +21,8 @@ def test_is_subtree_anchors():
     w = is_subtree(T12, T01)
     assert w is not None and w.level == 2
     assert is_subtree(T00, T12) is None
+    w = is_subtree(FibTree(163, 264), FibTree(-1, 2))
+    assert w is not None and w.level == 12 and str(w.word) == "L L R R L L R R"
 
 
 def test_is_subtree_reflexive_witness():
@@ -336,6 +338,72 @@ def test_lub_matches_ancestor_sets_rebuilt_per_radius():
         got = least_upper_bound(t1, t2, depth)
         assert {(x.a, x.b) for x in got} <= common
         assert bool(got) == bool(common)
+
+
+def test_inverse_steps_match_apply_atom():
+    rng = random.Random(9)
+    pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    pairs += [(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(10)]
+    every = set()
+    for a, b in pairs:
+        want = {(z.a, z.b) for z in (_apply_atom(Atom.LINV, GoldInt(a, b)), _apply_atom(Atom.RINV, GoldInt(a, b)))}
+        assert _inverse_steps({(a, b)}) == want
+        every |= want
+    assert _inverse_steps(set(pairs)) == every
+
+
+def _goldint_lub(t1, t2, depth):
+    """The join search with every ancestor built as a GoldInt through _apply_atom."""
+    level_cap = 4 * depth + 2
+
+    def widen(seen, frontier):
+        fresh = set()
+        for a, b in frontier:
+            for atom in (Atom.LINV, Atom.RINV):
+                z = _apply_atom(atom, GoldInt(a, b))
+                if (z.a, z.b) not in seen:
+                    fresh.add((z.a, z.b))
+        seen |= fresh
+        return fresh
+
+    seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
+    front1, front2 = set(seen1), set(seen2)
+    for _ in range(depth):
+        if seen1 & seen2:
+            break
+        front1, front2 = widen(seen1, front1), widen(seen2, front2)
+    trees = [FibTree(a, b) for a, b in sorted(seen1 & seen2)]
+    return [x for x in trees if not any(y != x and is_subtree(y, x, level_cap) for y in trees)]
+
+
+def test_lub_equals_goldint_search_list_for_list():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(300):
+        t1 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+        t2 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+        cases.append((t1, t2, rng.randint(1, 10)))
+    # L^-1 fixes F[1,2] and R^-1 fixes F[0,0]: each radius steps back onto identities already seen.
+    for t in (T12, T00, T01, FibTree(-1, 2), FibTree(4, -3)):
+        for depth in (1, 3, 6):
+            cases += [(T12, t, depth), (t, T00, depth)]
+    cases += [(FibTree(-1, 2), FibTree(-3, 5), 4), (T00, T12, 2), (FibTree(4, -3), FibTree(4, -3), 4)]
+    g = FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000))
+    t1 = subtree_at(g, MapWord((Atom.L, Atom.R)))
+    t2 = subtree_at(g, MapWord((Atom.R, Atom.L, Atom.L)))
+    cases += [(t1, t2, 6), (g, t2, 6), (g, FibTree(rng.randint(-10**1000, 10**1000), 5), 6)]
+    for t1, t2, depth in cases:
+        assert least_upper_bound(t1, t2, depth) == _goldint_lub(t1, t2, depth), (t1, t2, depth)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the search stops at the first radius where the ancestor sets meet (F[3,0] at radius 1 "
+    "and 6), before it reaches F[-1,2] at radius 8; the fix waits for ROADMAP item 1 and for a "
+    "benchmark change that updates the lub oracle in perfbench/workloads.py",
+)
+def test_lub_of_a_comparable_pair_is_the_larger_tree():
+    assert least_upper_bound(FibTree(-1, 2), FibTree(163, 264), 8) == [FibTree(-1, 2)]
 
 
 def test_order_brute_force_check_catches_a_dropped_u_node(monkeypatch):
