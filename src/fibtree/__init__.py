@@ -31,12 +31,11 @@ from .represent import (
     count_occurrences,
     find_interval_level,
     find_sequence,
-    verify_lemma_shift,
 )
 from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
-from .warray import WythoffArray, hofstadter_g, hofstadter_levels, primitive_pairs_in_tree, wythoff_array
+from .warray import WythoffArray, hofstadter_g, hofstadter_levels, wythoff_array
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "Atom",
@@ -70,7 +69,6 @@ __all__ = [
     "node_label",
     "parent_label",
     "phi_pow",
-    "primitive_pairs_in_tree",
     "reference_index",
     "scalar_mul",
     "self_containment",
@@ -82,7 +80,6 @@ __all__ = [
     "u_nodes",
     "v",
     "v_count",
-    "verify_lemma_shift",
     "word",
     "wythoff_array",
 ]

@@ -46,12 +46,12 @@ def _letters(n: int) -> str:
     return _letters(n - 1) + _letters(n - 2)
 
 
-def word(n: int, max_level: int = MAX_WORD_LEVEL) -> Word:
+def word(n: int) -> Word:
     """The level-n Fibonacci word, built by the concatenation recursion."""
     if n < 0:
         raise ValueError(f"word level must be >= 0, got {n}")
-    if n > max_level:
-        raise ValueError(f"word level {n} exceeds materialization cap {max_level}")
+    if n > MAX_WORD_LEVEL:
+        raise ValueError(f"word level {n} exceeds materialization cap {MAX_WORD_LEVEL}")
     return Word(n, _letters(n))
 
 

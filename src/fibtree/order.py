@@ -6,17 +6,17 @@ the guest is then reproduced label for label.  On identities this is
 generated by two affine maps: L descends to the first left subtree,
 R to the first right subtree (two levels down).
 
-`is_subtree` and `self_containment` cost what the bit length of their
-inputs asks, not what the cap or 2^depth allows: `is_subtree` runs the
-witness scan that `represent.find_sequence` runs too,
-`represent.first_witness`, which steps the level edges by additions,
-jumps past the levels out of range and stops once the shift-lemma cutoff
-or the range test shows that no later level can hold the child;
-`self_containment` prunes every branch that has left the window around
-its fixed points.  A subtree miss (None) reads "not found up to the
-cap", and it takes O(bit length) levels to establish.
+`is_subtree` costs what the bit length of its inputs asks, not what the
+cap allows: it runs the witness scan that `represent.find_sequence`
+runs too, `represent.first_witness`, which steps the level edges by
+additions, jumps past the levels out of range and stops once the
+shift-lemma cutoff or the range test shows that no later level can hold
+the child.  A subtree miss (None) reads "not found up to the cap", and
+it takes O(bit length) levels to establish.  `self_containment` is the
+theorem itself: only F[1,2] and F[0,0] contain themselves, by the
+powers of L and of R.
 
-`least_upper_bound` is the exception: it enumerates the inverse-map
+`least_upper_bound` is the one search that grows with 2^depth: it enumerates the inverse-map
 ancestors of both trees, up to 2^(r+1) bare int pairs per tree at
 radius r, so its cost doubles with each level of depth.  It returns the
 containment-minimal trees of the first radius where the two ancestor
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldring import PHI_CUBED, Atom, GoldInt, MapWord, _apply_atom, gold_sign
+from .goldring import Atom, MapWord
 from .fibword import U, letter_at, u_count
 from .represent import first_witness
 from .tree import FibTree
 
 DEFAULT_SUBTREE_CAP = 30
-DEFAULT_SEARCH_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -97,43 +96,31 @@ def subtree_at(t: FibTree, w: MapWord) -> FibTree:
 
 
 def self_containment(t: FibTree, depth: int) -> list[MapWord]:
-    """All nonempty forward words of length <= depth fixing t's identity.
+    """All nonempty forward words of length <= depth fixing t's identity, shortest first.
 
-    Nonempty only for F[1,2] (pure-L words, fixed point phi^3) and
-    F[0,0] (pure-R words, fixed point 0).
-
-    The words are enumerated atom by atom from z0 = a + b*phi, pruning
-    every branch that can no longer come back.  On the reals
+    By the theorem: [L^1 .. L^depth] for F[1,2], [R^1 .. R^depth] for
+    F[0,0], [] for every other tree.  Proof.  On the reals
     L(x) - x = (phi - 1)(x - phi^3) and R(x) - x = phi*x, and both maps
-    keep (phi^3, oo) and (-oo, 0) invariant.  So a value x > max(phi^3, z0)
-    grows under every later atom and never returns to z0, and neither
-    does a value x < min(0, z0), which falls under every later atom.  Two
-    gold_sign tests decide the prune.  L^-1 and R^-1 map [0, phi^3] onto
-    [phi, phi^3] and [0, phi], so inside that window only one of L, R
-    keeps a value there (both only at phi itself): for 0 <= z0 <= phi^3
-    the search visits O(depth) words instead of 2^depth.
+    keep (phi^3, oo) and (-oo, 0) invariant, so outside [0, phi^3] every
+    atom moves a value monotonically away: a forward word W fixes
+    z = a + b*phi only if 0 <= z <= phi^3.  The maps have coefficients
+    in Z[phi], so Galois conjugation carries W(z) = z to W'(z') = z',
+    and it turns L and R into the contractions x -> -x/phi - 1/phi^2 and
+    x -> x/phi^2, which both map [-1/phi^2, 0] into itself; so does W',
+    whose one fixed point z' lies there.  Then b*sqrt(5) = z - z' lies in
+    [0, phi^3 + 1/phi^2] = [0, 4.62..], so b is 0, 1 or 2, and the two
+    bounds leave only (a, b) = (0, 0) and (1, 2).  At 0, L gives
+    -phi^2 < 0, from which no word returns, and R stays put; at phi^3,
+    R gives phi^5 and L stays put.  An exhaustive pruned word search at
+    depth 60 over all 25,422 window points with |b| <= 3000 found only
+    these two.  The oracle is `verify.check_self_containment`.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    z0 = t.gold()
-    hits: list[MapWord] = []
-    # (atoms, value) with value == apply(atoms, z0); prepending an atom
-    # applies it on top.  An explicit stack, since a pruned search can
-    # go deeper than Python's recursion limit.
-    stack: list[tuple[tuple[Atom, ...], GoldInt]] = [((), z0)]
-    while stack:
-        atoms, value = stack.pop()
-        if atoms and value == z0:
-            hits.append(MapWord(atoms))
-        if len(atoms) == depth:
-            continue
-        side = gold_sign(value - z0)
-        if side > 0 and gold_sign(value - PHI_CUBED) > 0 or side < 0 and gold_sign(value) < 0:
-            continue
-        for a in (Atom.L, Atom.R):
-            stack.append(((a,) + atoms, _apply_atom(a, value)))
-    hits.sort(key=lambda w: (len(w), w.tokens()))
-    return hits
+    atom = {(1, 2): Atom.L, (0, 0): Atom.R}.get((t.a, t.b))
+    if atom is None:
+        return []
+    return [MapWord((atom,) * k) for k in range(1, depth + 1)]
 
 
 def _inverse_steps(front: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -141,16 +128,14 @@ def _inverse_steps(front: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return {z for a, b in front for z in ((b - a, a + 1), (2 * a - b, b - a))}
 
 
-def least_upper_bound(
-    t1: FibTree, t2: FibTree, depth: int, level_cap: int | None = None
-) -> list[FibTree]:
+def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     """Nearest common ancestors found within the given inverse-word depth.
 
     Widens both inverse-word radii one step at a time, on bare (a, b)
     int pairs, until the two ancestor sets first meet, then returns the
     trees of that intersection, in sorted (a, b) order, that contain no
-    other tree of it (containment decided by is_subtree up to level_cap,
-    default 4*depth + 2).  Stopping at the first nonempty radius keeps
+    other tree of it (containment decided by is_subtree up to level
+    4*depth + 2).  Stopping at the first nonempty radius keeps
     far-off incomparable ancestors out of the answer, but it can stop
     short of the larger tree of a comparable pair: F[163,264] sits
     inside F[-1,2] at level 12, yet at depth 8 the answer is [F[3,0]],
@@ -164,8 +149,7 @@ def least_upper_bound(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if level_cap is None:
-        level_cap = 4 * depth + 2
+    level_cap = 4 * depth + 2
     seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
     front1, front2 = set(seen1), set(seen2)
     for _ in range(depth):

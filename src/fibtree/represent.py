@@ -17,6 +17,8 @@ share one witness scan, `first_witness`, with one shift-lemma cutoff.
 A located branch is fixed by its pair, so the searches return it without
 replaying it; the replay is `verify.check_find_sequence`, and
 `count_occurrences` is the brute-force count over rule-built levels.
+The library holds only the proven cutoff; the shift lemma's empirical
+stabilization point, `verify.verify_lemma_shift`, is an oracle.
 """
 
 from __future__ import annotations
@@ -338,20 +340,3 @@ def count_occurrences(t: FibTree, s: FibSeq, level_cap: int) -> int:
         if parent_letter == U and _equivalent(FibSeq(label, parent + label), s)
     )
 
-
-def verify_lemma_shift(s: FibSeq, i: int, n_max: int) -> int:
-    """Smallest n1 <= n_max with u(i + s.term(n)) == u(i) + s.term(n+1) for all n in n1..n_max.
-
-    The identity stabilizes because s.term(n)*phi - s.term(n+1) shrinks
-    geometrically; this returns the empirical stabilization point.
-    """
-    if i == 0:
-        raise ValueError("shift identity needs i != 0")
-    ui = u(i)
-    last_bad = -1
-    for n in range(n_max + 1):
-        if u(i + s.term(n)) != ui + s.term(n + 1):
-            last_bad = n
-    if last_bad == n_max:
-        raise ValueError(f"identity for {s}, i={i} still failing at n_max={n_max}")
-    return last_bad + 1

@@ -23,14 +23,7 @@ from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
 from .goldring import Atom, GoldInt, MapWord, _apply_atom, fib, gold_sign, phi_pow
 from .order import is_subtree, least_upper_bound, self_containment, subtree_at
-from .represent import (
-    TreeClass,
-    classify,
-    count_occurrences,
-    find_interval_level,
-    find_sequence,
-    verify_lemma_shift,
-)
+from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
 from .tree import FibTree, NodeRef, branch_sequence, build_levels, node_label, parent_label, u_nodes
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
@@ -309,6 +302,39 @@ def check_interval_levels() -> list[dict]:
     return failures
 
 
+def primitive_pairs_in_tree(t: FibTree, n_max: int) -> list[tuple[tuple[int, int], int, int]]:
+    """All (pair, level, pos) of u-nodes under u-node parents, up to n_max.
+
+    Brute force over the rule-built levels; each such node roots a fresh
+    ascending branch seeded by (label, parent label + label), the pair
+    that `find_sequence` locates by its closed-form scan.
+    """
+    return [
+        ((label, parent + label), n, pos)
+        for n, pos, label, parent, parent_letter in u_nodes(t, n_max)
+        if parent_letter == U
+    ]
+
+
+def verify_lemma_shift(s: FibSeq, i: int, n_max: int) -> int:
+    """Smallest n1 <= n_max with u(i + s.term(n)) == u(i) + s.term(n+1) for all n in n1..n_max.
+
+    The identity stabilizes because s.term(n)*phi - s.term(n+1) shrinks
+    geometrically; this returns the empirical stabilization point, the
+    counterpart of the cutoff that `represent.first_witness` proves.
+    """
+    if i == 0:
+        raise ValueError("shift identity needs i != 0")
+    ui = u(i)
+    last_bad = -1
+    for n in range(n_max + 1):
+        if u(i + s.term(n)) != ui + s.term(n + 1):
+            last_bad = n
+    if last_bad == n_max:
+        raise ValueError(f"identity for {s}, i={i} still failing at n_max={n_max}")
+    return last_bad + 1
+
+
 def check_lemma_witnesses(
     pairs: int = 50, n_max: int = 30, zero_trees: int = 20, zero_window: int = 40, seed: int = 11
 ) -> list[dict]:
@@ -406,20 +432,26 @@ def check_order_antisymmetry(grid: int = 6, cap: int = 15) -> list[dict]:
 
 
 def check_self_containment(grid: int = 6, depth: int = 10) -> list[dict]:
+    """self_containment against every forward word up to depth, unpruned, on bare int pairs.
+
+    Layer k holds the values of all 2^k words of length k, ordered by
+    their atoms read as k bits (L = 0, R = 1, first atom highest), so
+    layer k + 1 is L, then R, applied to every value of layer k:
+    L(a, b) = (b - 1, a + b - 1), R(a, b) = (a + b, a + 2b).
+    """
     failures = []
-    for a in range(-grid, grid + 1):
-        for b in range(-grid, grid + 1):
-            words = self_containment(FibTree(a, b), depth)
-            if (a, b) == (1, 2):
-                want = [MapWord((Atom.L,) * k) for k in range(1, depth + 1)]
-                if words != want:
-                    failures.append(_fail("self-containment", f"F[1,2]: {len(words)} words"))
-            elif (a, b) == (0, 0):
-                want = [MapWord((Atom.R,) * k) for k in range(1, depth + 1)]
-                if words != want:
-                    failures.append(_fail("self-containment", f"F[0,0]: {len(words)} words"))
-            elif words:
-                failures.append(_fail("self-containment", f"F[{a},{b}] fixed by {words[0]}"))
+    for a, b in product(range(-grid, grid + 1), repeat=2):
+        want, layer = [], [(a, b)]
+        for k in range(1, depth + 1):
+            layer = [(y - 1, x + y - 1) for x, y in layer] + [(x + y, x + 2 * y) for x, y in layer]
+            want += [
+                MapWord(tuple(Atom.R if i >> (k - 1 - j) & 1 else Atom.L for j in range(k)))
+                for i, z in enumerate(layer)
+                if z == (a, b)
+            ]
+        got = self_containment(FibTree(a, b), depth)
+        if got != want:
+            failures.append(_fail("self-containment", f"F[{a},{b}]: {len(got)} words, enumeration {len(want)}"))
     return failures
 
 

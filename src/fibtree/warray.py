@@ -7,7 +7,9 @@ ascending branches are the rows of the Wythoff array (row j seeded by
 position's parent label in F[1,2]; it has the closed form
 g(n) = floor((n+1)/phi) = u(n+1) - (n+1), computed here in O(1) big-int
 operations for any n.  The recursion itself is the oracle in
-`verify.check_hofstadter`.
+`verify.check_hofstadter`, and the brute-force list of primitive pairs
+over rule-built levels, whose pairs in F[1,2] seed the array's rows, is
+`verify.primitive_pairs_in_tree`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .goldring import fib
-from .fibword import U
-from .tree import FibTree, u_nodes
 from .wythoff import u, v
 
 
@@ -71,17 +71,3 @@ def hofstadter_g(n: int) -> int:
         raise ValueError(f"g needs n >= 0, got {n}")
     return u(n + 1) - (n + 1)
 
-
-def primitive_pairs_in_tree(
-    t: FibTree, n_max: int
-) -> list[tuple[tuple[int, int], int, int]]:
-    """All (pair, level, pos) of u-nodes under u-node parents, up to n_max.
-
-    Brute force over the rule-built levels; each such node roots a fresh
-    ascending branch seeded by (label, parent label + label).
-    """
-    return [
-        ((label, parent + label), n, pos)
-        for n, pos, label, parent, parent_letter in u_nodes(t, n_max)
-        if parent_letter == U
-    ]

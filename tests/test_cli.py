@@ -118,6 +118,36 @@ def test_array_csv(capsys):
     assert out.splitlines() == ["1,2,3,5,8", "4,7,11,18,29"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_array_past_the_digit_limit_exits_1(capsys, fmt):
+    # row 2 reaches 4,301 digits at column 20,574, one past the interpreter's default limit
+    code = run(["array", "--rows", "2", "--cols", "20575", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--rows" in captured.err and "--cols" in captured.err
+
+
+def test_lub_depth_cap(monkeypatch, capsys):
+    import fibtree.cli
+
+    assert fibtree.cli.MAX_LUB_DEPTH <= 18
+    t = ["--t1", "4,-3", "--t2", "4,-3"]
+    code, out = run_json(capsys, ["lub", *t, "--depth", str(fibtree.cli.MAX_LUB_DEPTH)])
+    assert code == 0 and json.loads(out)["result"]["lub"] == [[4, -3]]
+
+    def unreachable(*args):
+        raise AssertionError("the join search ran past its cap")
+
+    monkeypatch.setattr(fibtree.cli, "least_upper_bound", unreachable)
+    code = run(["lub", *t, "--depth", str(fibtree.cli.MAX_LUB_DEPTH + 1)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "join search cap" in captured.err
+
+
 def test_wythoff_table(capsys):
     code, out = run_json(capsys, ["wythoff", "--from", "0", "--to", "1"])
     assert json.loads(out)["result"]["pairs"] == [

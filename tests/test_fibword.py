@@ -39,8 +39,6 @@ def test_word_rejects_bad_levels():
         word(-1)
     with pytest.raises(ValueError, match="cap"):
         word(31)
-    with pytest.raises(ValueError, match="cap"):
-        word(12, max_level=10)
 
 
 def test_letter_at_examples():
@@ -57,7 +55,7 @@ def test_letter_at_matches_finite_words():
 
 def test_letter_at_deep_position():
     # smallest level holding position 10**6 is 29 (F_31 = 1346269)
-    big = word(29, max_level=29).letters
+    big = word(29).letters
     i = 10**6
     assert letter_at(i) == big[i - 1]
 

@@ -324,6 +324,24 @@ def test_self_containment_matches_unpruned_enumeration():
             assert self_containment(t, depth) == _reference_self_containment(t, depth)
 
 
+def test_self_containment_matches_unpruned_enumeration_in_the_strip():
+    # F[1 - u(b), b] has z = 1 + frac(b*phi), inside the window [0, phi^3] that holds every fixed point
+    for k in (3, 30, 1000):
+        b = 10**k
+        t = FibTree(1 - u(b), b)
+        assert self_containment(t, 12) == _reference_self_containment(t, 12) == []
+
+
+def test_self_containment_check_catches_a_dropped_tree(monkeypatch):
+    from fibtree import verify
+
+    assert verify.check_self_containment(grid=2, depth=6) == []
+    real = verify.self_containment
+    monkeypatch.setattr(verify, "self_containment", lambda t, depth: [] if t == T00 else real(t, depth))
+    failures = verify.check_self_containment(grid=2, depth=6)
+    assert [f["detail"] for f in failures] == ["F[0,0]: 0 words, enumeration 6"]
+
+
 def test_lub_matches_ancestor_sets_rebuilt_per_radius():
     rng = random.Random(5)
     for _ in range(60):

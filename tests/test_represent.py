@@ -13,9 +13,9 @@ from fibtree.represent import (
     count_occurrences,
     find_interval_level,
     find_sequence,
-    verify_lemma_shift,
 )
 from fibtree.tree import FibTree, NodeRef, branch_sequence
+from fibtree.verify import verify_lemma_shift
 from fibtree.wythoff import FibSeq, u, u_inverse, v
 from test_wythoff import reference_index_scan
 
@@ -315,7 +315,7 @@ def test_constructive_search_agrees_with_brute_force_sweep():
     # the closed-form scan targets the canonical row-start pair; its level must
     # match the rule-built scan's first sighting of that exact pair, and no
     # equivalent branch (any shift) may appear below an equivalent's first level
-    from fibtree.warray import primitive_pairs_in_tree
+    from fibtree.verify import primitive_pairs_in_tree
 
     cap = 12
     for t in (T01, FibTree(1, 0)):
@@ -355,7 +355,7 @@ def test_count_occurrences_requires_full_tree():
 
 
 def test_fibonacci_pair_is_primitive_at_every_level_from_three():
-    from fibtree.warray import primitive_pairs_in_tree
+    from fibtree.verify import primitive_pairs_in_tree
 
     levels_with_pair = {
         level for pair, level, _ in primitive_pairs_in_tree(T01, 12) if pair == (1, 2)

@@ -6,12 +6,8 @@ import pytest
 from fibtree.fibword import U
 from fibtree.goldring import fib
 from fibtree.tree import FibTree, NodeRef, build_levels, parent_label
-from fibtree.warray import (
-    hofstadter_g,
-    hofstadter_levels,
-    primitive_pairs_in_tree,
-    wythoff_array,
-)
+from fibtree.verify import primitive_pairs_in_tree
+from fibtree.warray import hofstadter_g, hofstadter_levels, wythoff_array
 from fibtree.wythoff import u, v
 
 T12 = FibTree(1, 2)
