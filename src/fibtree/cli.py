@@ -10,7 +10,8 @@ big integers stay safe.  Exit codes: 0 success, 1 domain error, 2 usage
 error, 3 verification failure.  The environment variable
 FIBTREE_MAX_LEVEL, when set, is a global ceiling on every
 level/depth/cap argument; `tree --levels` and `lub --depth` have fixed
-work caps, and `array` the interpreter's digit limit for integer text.
+work caps, and `array` and `hofstadter` the interpreter's digit limit
+for integer text.
 The oracles of `fibtree.verify` load on demand, only for the `verify`
 subcommand.
 """
@@ -25,6 +26,7 @@ import sys
 from . import __version__
 from .algebra import tree_sum
 from .fibword import U, u_count
+from .goldring import fib
 from .order import is_subtree, least_upper_bound, self_containment
 from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
 from .tree import MAX_BUILD_LEVEL, FibTree, LevelLabeling, level_interval
@@ -34,7 +36,7 @@ from .wythoff import FibSeq, u, v
 _SAFE_MAGNITUDE = 1 << 53
 
 # A join search miss doubles in time and memory with each level of depth: F[100,-37], F[-50,90]
-# took 0.32 s and 64 MiB peak RSS at depth 16, 1.6 s and 204 MiB at 18 (Python 3.11, 2-vCPU host).
+# took 0.18 s and 60 MiB peak RSS at depth 16, 0.9 s and 192 MiB at 18 (in process, Python 3.11, 2-vCPU host).
 MAX_LUB_DEPTH = 16
 
 # The keys of verify.SUITES, in order; written here so that `--suite`
@@ -57,6 +59,14 @@ def _pair(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'a,b' with integers, got {text!r}")
+
+
+def _check_digits(largest: int, what: str) -> None:
+    """Refuse a result whose largest value has more digits than integer text allows."""
+    # Pythons before 3.10.7 have no digit limit (0).
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and largest >= 10**limit:
+        raise ValueError(f"{what} pass the {limit}-digit limit of integer text")
 
 
 def _capped(value: int, what: str) -> int:
@@ -155,10 +165,8 @@ def _tree(args: argparse.Namespace) -> dict | str:
           _int("--rows", 10), _int("--cols", 10), _choice("--format", "json", "csv"))
 def _array(args: argparse.Namespace) -> dict | str:
     rows = wythoff_array(args.rows, args.cols).rows
-    # The last entry is the largest; Pythons before 3.10.7 have no digit limit (0).
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and rows[-1][-1] >= 10**limit:
-        raise ValueError(f"--rows {args.rows} --cols {args.cols}: entries pass the {limit}-digit limit of integer text")
+    # The last entry is the largest.
+    _check_digits(rows[-1][-1], f"--rows {args.rows} --cols {args.cols}: entries")
     if args.format == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
     return {"rows": [[_j(x) for x in row] for row in rows]}
@@ -222,7 +230,10 @@ def _lub(args: argparse.Namespace) -> dict:
 
 @_command("hofstadter", "consecutive-integer region of F[1,2]", _int("--levels", 10))
 def _hofstadter(args: argparse.Namespace) -> dict:
-    levels = hofstadter_levels(_capped(args.levels, "--levels"))
+    n_max = _capped(args.levels, "--levels")
+    # The last level's top label F_(n_max+2) is the largest; check it before building any level.
+    _check_digits(fib(max(n_max, 0) + 2), f"--levels {n_max}: labels")
+    levels = hofstadter_levels(n_max)
     return {"levels": [{"level": n, "lo": _j(lo), "hi": _j(hi)} for n, (lo, hi) in enumerate(levels)]}
 
 

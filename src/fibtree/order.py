@@ -16,12 +16,14 @@ it takes O(bit length) levels to establish.  `self_containment` is the
 theorem itself: only F[1,2] and F[0,0] contain themselves, by the
 powers of L and of R.
 
-`least_upper_bound` is the one search that grows with 2^depth: it enumerates the inverse-map
-ancestors of both trees, up to 2^(r+1) bare int pairs per tree at
-radius r, so its cost doubles with each level of depth.  It returns the
-containment-minimal trees of the first radius where the two ancestor
-sets meet; an empty result bounds the search, it proves nothing, and
-for a comparable pair that radius can stop short of the larger tree.
+`least_upper_bound` is the one search that grows with 2^depth: it
+enumerates the inverse-map ancestors of both trees, up to 2^(r+1) bare
+int pairs per tree at radius r, so its cost doubles with each level of
+depth (a miss took about 1.5 ms at depth 10 and 30 ms at depth 14).  It
+returns the containment-minimal trees of the first radius where the two
+ancestor sets meet; an empty result bounds the search, it proves
+nothing, and for a comparable pair that radius can stop short of the
+larger tree.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def self_containment(t: FibTree, depth: int) -> list[MapWord]:
     return [MapWord((atom,) * k) for k in range(1, depth + 1)]
 
 
-def _inverse_steps(front: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The identities one L^-1 or R^-1 step from the frontier, on bare int pairs."""
-    return {z for a, b in front for z in ((b - a, a + 1), (2 * a - b, b - a))}
+def _inverse_steps(front: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The identities one step from the frontier, on bare int pairs: all L^-1 images, then all R^-1 images."""
+    return [(b - a, a + 1) for a, b in front] + [(2 * a - b, b - a) for a, b in front]
 
 
 def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
@@ -141,24 +143,34 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     inside F[-1,2] at level 12, yet at depth 8 the answer is [F[3,0]],
     met at radius 6 before F[-1,2] is reached at radius 8.  An empty
     list means nothing was found within the depth, not that no upper
-    bound exists.  Each radius steps only the identities first reached
-    at the previous one, A(d) = A(d-1) | step(A(d-1) - A(d-2)), but
-    A(d) still holds up to 2^(d+1) identities: the cost doubles with
-    each level of depth (a miss took about 2 ms at depth 10 and 45 ms
-    at depth 14).
+    bound exists.
+
+    Each frontier is a list: radius d steps every identity of radius
+    d - 1, the images W^-1(t) of the 2^(d-1) inverse words of that
+    length, repeats included, and records them in the ancestor set.
+    The set A(d) = {W^-1(t) : |W| <= d} does not depend on which
+    repeats are stepped, so the meeting radius, the intersection and
+    the answer are those of a search that steps each identity once.
+    Repeats arise where two inverse words send t to one identity: on the
+    lineages of F[1,2] and F[0,0], which L^-1 and R^-1 fix, and at the
+    points where two words' affine maps agree, such as F[-11,-18], whose
+    L^-4 and R^-3 images are both F[1,-2].  The frontier at radius d
+    holds exactly 2^d pairs, so a tree's search steps fewer than 2^(d+1)
+    pairs in all, and A(d) holds up to 2^(d+1) identities: the cost
+    doubles with each level of depth (a miss took about 1.5 ms at depth
+    10 and 30 ms at depth 14).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     level_cap = 4 * depth + 2
-    seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
-    front1, front2 = set(seen1), set(seen2)
+    front1, front2 = [(t1.a, t1.b)], [(t2.a, t2.b)]
+    seen1, seen2 = set(front1), set(front2)
     for _ in range(depth):
         if not seen1.isdisjoint(seen2):
             break
-        front1 = _inverse_steps(front1) - seen1
-        front2 = _inverse_steps(front2) - seen2
-        seen1 |= front1
-        seen2 |= front2
+        front1, front2 = _inverse_steps(front1), _inverse_steps(front2)
+        seen1.update(front1)
+        seen2.update(front2)
     common = sorted(seen1 & seen2)
     if not common:
         return []

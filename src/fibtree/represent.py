@@ -190,33 +190,47 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, i
     min(frac, 1 - frac) >= 1/(1 + sqrt(5)*|D|), while
     |eps_1| <= |E_0|*phi + |E_1|.
 
+    The scan runs the direct test first at each level in range and
+    works out u(D) and the margin, `_cutoff_margin`, only at the first
+    level that misses; a hit at the first level in range costs one u
+    call.  This order answers exactly as a cutoff test ahead of the
+    direct test would: the cutoff fires only where the test is already
+    the constant u(D) == c (or floor(eps_n) == c for D = 0), and it is
+    armed only when that constant is false, so every level it stops at
+    misses the direct test too.
+
     Once the edges settle, each half of the range test flips at most
     once, so the levels in range either end, and so does `_in_range`, or
     include every level from some point on.  In every case the scan ends
     within O(bit length of the labels and D) levels, whatever the cap.
     """
-    margin = None
-    if rank:
-        ud = u(rank)
-        if ud != c:
-            # min(frac, 1 - frac) with frac = rank*phi - u(rank)
-            if gold_sign(GoldInt(-2 * ud - 1, 2 * rank)) < 0:
-                margin = GoldInt(-ud, rank)
-            else:
-                margin = GoldInt(1 + ud, -rank)
-    elif c not in (0, -1):
-        margin = GoldInt(1, 0)
+    missed, margin = False, None
     for k, e0, e1 in _in_range(t, rank, rank, -1):
         level = k + 1
         if level > level_cap:
             return None
+        if e1 + u(rank - e0) == c:
+            return level, c - e1
+        if not missed:
+            missed, margin = True, _cutoff_margin(c, rank)
         if margin is not None:
             eps = GoldInt(e1, -e0)
             if gold_sign(margin - eps) > 0 and gold_sign(margin + eps) > 0:
                 return None
-        if e1 + u(rank - e0) == c:
-            return level, c - e1
     return None
+
+
+def _cutoff_margin(c: int, rank: int) -> GoldInt | None:
+    """The bound on |eps| below which `first_witness`'s test is a false constant; None for no cutoff."""
+    if rank:
+        ud = u(rank)
+        if ud == c:
+            return None
+        # min(frac, 1 - frac) with frac = rank*phi - u(rank)
+        if gold_sign(GoldInt(-2 * ud - 1, 2 * rank)) < 0:
+            return GoldInt(-ud, rank)
+        return GoldInt(1 + ud, -rank)
+    return None if c in (0, -1) else GoldInt(1, 0)
 
 
 def _row_alignment(s: FibSeq) -> tuple[int, int]:
@@ -282,9 +296,10 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     v(j) = u(j) + j has the u-child u(u(j)) = v(j) - 1, a u-node under a
     u-node, and that child's v-child carries u(j) + u(u(j)) = v(u(j)).
     So the search is `first_witness(u(j), j, ...)` one level up, the
-    same scan and cutoff that `order.is_subtree` runs; the zero target
-    is the subtree F[0,1], whose root's u-child carries 0 and has the
-    v-child 0.
+    same scan and cutoff that `order.is_subtree` runs, with u(j) read
+    off the aligned pair as v(u(j)) - u(u(j)), a rank the alignment has
+    already checked; the zero target is the subtree F[0,1], whose root's
+    u-child carries 0 and has the v-child 0.
 
     Both the alignment and the scan's jump over the levels out of range
     cost O(1) big-int operations, so a 10^3-digit target costs what its
@@ -300,18 +315,16 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
     if cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
-    if s.is_zero():
-        c, rank, shift = 0, 1, 0
-    else:
-        rank, shift = _row_alignment(s)
-        c = u(rank)
-    found = first_witness(c, rank, t, level_cap - 1)
+    rank, shift = (1, 0) if s.is_zero() else _row_alignment(s)
+    pair = s.pair(shift)
+    # pair[1] - pair[0] is u(j), and 0 for the zero target
+    found = first_witness(pair[1] - pair[0], rank, t, level_cap - 1)
     if found is None:
         raise ValueError(
             f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
         )
     level, pos = found
-    return Occurrence(level + 1, u(pos), s.pair(shift), shift, True)
+    return Occurrence(level + 1, u(pos), pair, shift, True)
 
 
 def _equivalent(s1: FibSeq, s2: FibSeq) -> bool:

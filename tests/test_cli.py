@@ -129,6 +129,16 @@ def test_array_past_the_digit_limit_exits_1(capsys, fmt):
     assert "--rows" in captured.err and "--cols" in captured.err
 
 
+def test_hofstadter_past_the_digit_limit_exits_1(capsys):
+    # level 20,576 tops out at F_20578, the first label with 4,301 digits
+    code = run(["hofstadter", "--levels", "20576"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--levels 20576" in captured.err
+
+
 def test_lub_depth_cap(monkeypatch, capsys):
     import fibtree.cli
 

@@ -311,6 +311,28 @@ def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
         assert calls <= 64, (c, d, calls)
 
 
+def test_is_subtree_hit_at_the_first_level_in_range_makes_one_u_call(monkeypatch):
+    calls = []
+    real_u = represent.u
+    monkeypatch.setattr(represent, "u", lambda n: calls.append(n) or real_u(n))
+    rng = random.Random(29)
+    parents = [FibTree(a, b) for a in range(-5, 6) for b in range(-5, 6)]
+    parents += [FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(3)]
+    words = [MapWord(w) for n in (1, 2, 3) for w in product((Atom.L, Atom.R), repeat=n)]
+    checked = 0
+    for parent in parents:
+        for w in words:
+            child = subtree_at(parent, w)
+            rank = child.b - child.a
+            first = next(represent._in_range(parent, rank, rank, -1))[0] + 1
+            calls.clear()
+            got = is_subtree(child, parent)
+            if child != parent and got.level == first:
+                assert len(calls) == 1, (child, parent, calls)
+                checked += 1
+    assert checked > 600, checked
+
+
 def test_self_containment_matches_unpruned_enumeration():
     for a in range(-12, 13):
         for b in range(-12, 13):
@@ -362,12 +384,19 @@ def test_inverse_steps_match_apply_atom():
     rng = random.Random(9)
     pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
     pairs += [(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(10)]
-    every = set()
-    for a, b in pairs:
-        want = {(z.a, z.b) for z in (_apply_atom(Atom.LINV, GoldInt(a, b)), _apply_atom(Atom.RINV, GoldInt(a, b)))}
-        assert _inverse_steps({(a, b)}) == want
-        every |= want
-    assert _inverse_steps(set(pairs)) == every
+
+    def image(atom, a, b):
+        z = _apply_atom(atom, GoldInt(a, b))
+        return z.a, z.b
+
+    linv = [image(Atom.LINV, a, b) for a, b in pairs]
+    rinv = [image(Atom.RINV, a, b) for a, b in pairs]
+    for pair, li, ri in zip(pairs, linv, rinv):
+        assert _inverse_steps([pair]) == [li, ri]
+    got = _inverse_steps(pairs)
+    assert set(got) == set(linv) | set(rinv)
+    assert len(got) == 2 * len(pairs)
+    assert got == linv + rinv  # every L^-1 image, then every R^-1 image, in frontier order
 
 
 def _goldint_lub(t1, t2, depth):
@@ -412,6 +441,39 @@ def test_lub_equals_goldint_search_list_for_list():
     cases += [(t1, t2, 6), (g, t2, 6), (g, FibTree(rng.randint(-10**1000, 10**1000), 5), 6)]
     for t1, t2, depth in cases:
         assert least_upper_bound(t1, t2, depth) == _goldint_lub(t1, t2, depth), (t1, t2, depth)
+
+
+def _set_frontier_lub(t1, t2, depth):
+    """The join search with set frontiers: each radius steps only the identities first reached at the previous one."""
+
+    def steps(front):
+        return {z for a, b in front for z in ((b - a, a + 1), (2 * a - b, b - a))}
+
+    level_cap = 4 * depth + 2
+    seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
+    front1, front2 = set(seen1), set(seen2)
+    for _ in range(depth):
+        if not seen1.isdisjoint(seen2):
+            break
+        front1 = steps(front1) - seen1
+        front2 = steps(front2) - seen2
+        seen1 |= front1
+        seen2 |= front2
+    trees = [FibTree(a, b) for a, b in sorted(seen1 & seen2)]
+    return [x for x in trees if not any(y != x and is_subtree(y, x, level_cap) for y in trees)]
+
+
+def test_lub_list_frontiers_equal_set_frontiers():
+    # The list frontier at radius r holds every inverse word's image, repeats included: on the
+    # lineages of F[1,2] (fixed by L^-1) and F[0,0] (fixed by R^-1) the same identity comes back
+    # each radius, and F[-11,-18] reaches F[1,-2] both by L^-4 and by R^-3.
+    repeating = [T12, T00, FibTree(3, 5), FibTree(-11, -18)]
+    grid = [FibTree(a, b) for a in range(-8, 9) for b in range(-8, 9)]
+    cases = [(x, y, depth) for x in repeating for y in repeating + grid for depth in range(1, 13)]
+    rng = random.Random(23)
+    cases += [(rng.choice(grid), rng.choice(grid), depth) for depth in range(1, 13) for _ in range(20)]
+    for t1, t2, depth in cases:
+        assert least_upper_bound(t1, t2, depth) == _set_frontier_lub(t1, t2, depth), (t1, t2, depth)
 
 
 @pytest.mark.xfail(

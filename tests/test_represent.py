@@ -466,6 +466,22 @@ def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
         assert calls <= 64, calls
 
 
+def test_find_sequence_thousand_digit_seed_makes_three_u_calls(monkeypatch):
+    # the alignment's check of the row start, the hit test and the witness position:
+    # u(j) is read off the aligned pair, and a hit at the first level in range needs no cutoff margin
+    import fibtree.represent as represent
+
+    calls = []
+    real_u = represent.u
+    monkeypatch.setattr(represent, "u", lambda n: calls.append(n) or real_u(n))
+    rng = random.Random(38)
+    for _ in range(6):
+        s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
+        calls.clear()
+        assert find_sequence(T01, s, level_cap=20200).level > 9000
+        assert len(calls) <= 3, len(calls)
+
+
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
     calls = 0
     real_term = FibSeq.term
