@@ -7,13 +7,11 @@ canonically sorted), or a finished text (tree dumps as ascii or dot, the
 array as csv), which `run` prints as it is.  Integers beyond 53-bit
 magnitude are emitted as decimal strings so downstream parsers without
 big integers stay safe.  Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 verification failure.  The environment variable
-FIBTREE_MAX_LEVEL, when set, is a global ceiling on every
-level/depth/cap argument; `tree --levels` and `lub --depth` have fixed
-work caps, and `array` and `hofstadter` the interpreter's digit limit
-for integer text.
-The oracles of `fibtree.verify` load on demand, only for the `verify`
-subcommand.
+error, 3 verification failure.  Level n of a tree holds F_(n+2) labels,
+so each flag that sizes levels, depths or word lists has a fixed cap,
+checked before any work; `array` and `hofstadter` refuse a largest value
+past the interpreter's digit limit for integer text.  The oracles of
+`fibtree.verify` load on demand, only for the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from . import __version__
 from .algebra import tree_sum
 from .fibword import U, u_count
 from .goldring import fib
-from .order import is_subtree, least_upper_bound, self_containment
+from .order import DEFAULT_SUBTREE_CAP, is_subtree, least_upper_bound, self_containment
 from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
 from .tree import MAX_BUILD_LEVEL, FibTree, LevelLabeling, level_interval
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
@@ -38,6 +36,12 @@ _SAFE_MAGNITUDE = 1 << 53
 # A join search miss doubles in time and memory with each level of depth: F[100,-37], F[-50,90]
 # took 0.18 s and 60 MiB peak RSS at depth 16, 0.9 s and 192 MiB at 18 (in process, Python 3.11, 2-vCPU host).
 MAX_LUB_DEPTH = 16
+# `self-contain` prints depth(depth+1)/2 atoms for F[1,2]: 1.0-1.1 s and 68 MiB at depth 2000, 5.9 s and 334 MiB
+# at 5000 (as a process, Python 3.11, 2-vCPU host).
+MAX_SELF_CONTAIN_DEPTH = 2000
+# `verify --suite labels` builds 121 trees to this level: 2.6-2.9 s and 28 MiB at 20, about 2.6x per two levels
+# (as a process, Python 3.11, 2-vCPU host).
+MAX_VERIFY_LEVEL = 20
 
 # The keys of verify.SUITES, in order; written here so that `--suite`
 # needs no import of the oracles.
@@ -61,25 +65,22 @@ def _pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'a,b' with integers, got {text!r}")
 
 
-def _check_digits(largest: int, what: str) -> None:
-    """Refuse a result whose largest value has more digits than integer text allows."""
+def _check_digits(index: int, largest, what: str) -> None:
+    """Refuse a result whose largest value, largest() >= F_index, has more digits than integer text allows.
+
+    F_m >= phi^(m-2) and phi^5 > 10, so F_m has more than `limit` digits
+    once m >= 5*limit + 2: past that index the value is never computed.
+    """
     # Pythons before 3.10.7 have no digit limit (0).
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and largest >= 10**limit:
+    if limit and (index >= 5 * limit + 2 or largest() >= 10**limit):
         raise ValueError(f"{what} pass the {limit}-digit limit of integer text")
 
 
-def _capped(value: int, what: str) -> int:
-    """value, checked against the FIBTREE_MAX_LEVEL ceiling when that is set."""
-    raw = os.environ.get("FIBTREE_MAX_LEVEL")
-    if raw is None:
-        return value
-    try:
-        ceiling = int(raw)
-    except ValueError:
-        raise ValueError(f"FIBTREE_MAX_LEVEL must be an integer, got {raw!r}")
-    if value > ceiling:
-        raise ValueError(f"{what} {value} exceeds FIBTREE_MAX_LEVEL={ceiling}")
+def _within(value: int, cap: int, flag: str, what: str) -> int:
+    """value, refused when it exceeds the flag's fixed work cap."""
+    if value > cap:
+        raise ValueError(f"{flag} {value} exceeds the {what} cap {cap}")
     return value
 
 
@@ -150,12 +151,10 @@ _TREE_FORMATS = {"json": _tree_json, "ascii": _tree_ascii, "dot": _tree_dot}
 @_command("tree", "dump levels of one labeled tree",
           _ab("--id"), _int("--levels", 5), _choice("--format", *_TREE_FORMATS))
 def _tree(args: argparse.Namespace) -> dict | str:
-    levels = _capped(args.levels, "--levels")
+    # level n holds F_{n+2} nodes; a dump beyond the cap is unusable
+    levels = _within(args.levels, MAX_BUILD_LEVEL, "--levels", "dump")
     if levels < 0:
         raise ValueError(f"level must be >= 0, got {levels}")
-    if levels > MAX_BUILD_LEVEL:
-        # level n holds F_{n+2} nodes; a dump beyond the cap is unusable
-        raise ValueError(f"--levels {levels} exceeds the dump cap {MAX_BUILD_LEVEL}")
     t = FibTree(*args.id)
     # One walk for every format: each level's edges once, its letters as one word.
     return _TREE_FORMATS[args.format](t, [level_interval(t, n) for n in range(levels + 1)])
@@ -164,9 +163,13 @@ def _tree(args: argparse.Namespace) -> dict | str:
 @_command("array", "top-left corner of the Wythoff array",
           _int("--rows", 10), _int("--cols", 10), _choice("--format", "json", "csv"))
 def _array(args: argparse.Namespace) -> dict | str:
+    if args.rows >= 1 and args.cols >= 2:
+        # The last entry is the largest, at least F_(cols+1); check it before building any row.
+        m = u(args.rows)
+        last_row = FibSeq(u(m), v(m))
+        what = f"--rows {args.rows} --cols {args.cols}: entries"
+        _check_digits(args.cols + 1, lambda: last_row.term(args.cols - 1), what)
     rows = wythoff_array(args.rows, args.cols).rows
-    # The last entry is the largest.
-    _check_digits(rows[-1][-1], f"--rows {args.rows} --cols {args.cols}: entries")
     if args.format == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
     return {"rows": [[_j(x) for x in row] for row in rows]}
@@ -192,8 +195,7 @@ def _classify(args: argparse.Namespace) -> dict:
 @_command("find-seq", "locate a sequence as an ascending branch",
           _ab("--id"), _ab("--seq", "c,d"), _int("--cap", DEFAULT_LEVEL_CAP))
 def _find_seq(args: argparse.Namespace) -> dict:
-    cap = _capped(args.cap, "--cap")
-    occ = find_sequence(FibTree(*args.id), FibSeq(*args.seq), level_cap=cap)
+    occ = find_sequence(FibTree(*args.id), FibSeq(*args.seq), level_cap=args.cap)
     pair = [_j(occ.pair[0]), _j(occ.pair[1])]
     return {"level": occ.level, "pos": _j(occ.pos), "pair": pair, "shift": occ.shift, "primitive": occ.primitive}
 
@@ -204,35 +206,33 @@ def _interval(args: argparse.Namespace) -> dict:
 
 
 @_command("subtree", "decide containment of one tree in another",
-          _ab("--child", "c,d"), _ab("--parent"), _int("--cap", 30))
+          _ab("--child", "c,d"), _ab("--parent"), _int("--cap", DEFAULT_SUBTREE_CAP))
 def _subtree(args: argparse.Namespace) -> dict:
-    cap = _capped(args.cap, "--cap")
-    witness = is_subtree(FibTree(*args.child), FibTree(*args.parent), level_cap=cap)
+    witness = is_subtree(FibTree(*args.child), FibTree(*args.parent), level_cap=args.cap)
     if witness is not None:
         witness = {"level": witness.level, "pos": _j(witness.pos), "word": witness.word.tokens()}
-    return {"contains": witness is not None, "cap": cap, "witness": witness}
+    return {"contains": witness is not None, "cap": args.cap, "witness": witness}
 
 
 @_command("self-contain", "forward words fixing a tree", _ab("--id"), _int("--depth", 10))
 def _self_contain(args: argparse.Namespace) -> dict:
-    depth = _capped(args.depth, "--depth")
+    depth = _within(args.depth, MAX_SELF_CONTAIN_DEPTH, "--depth", "self-containment")
     return {"depth": depth, "words": [w.tokens() for w in self_containment(FibTree(*args.id), depth)]}
 
 
 @_command("lub", "minimal common ancestors within a depth", _ab("--t1"), _ab("--t2"), _int("--depth", 10))
 def _lub(args: argparse.Namespace) -> dict:
-    depth = _capped(args.depth, "--depth")
-    if depth > MAX_LUB_DEPTH:
-        raise ValueError(f"--depth {depth} exceeds the join search cap {MAX_LUB_DEPTH}")
+    depth = _within(args.depth, MAX_LUB_DEPTH, "--depth", "join search")
     found = least_upper_bound(FibTree(*args.t1), FibTree(*args.t2), depth)
     return {"depth": depth, "lub": [_id(t) for t in found]}
 
 
 @_command("hofstadter", "consecutive-integer region of F[1,2]", _int("--levels", 10))
 def _hofstadter(args: argparse.Namespace) -> dict:
-    n_max = _capped(args.levels, "--levels")
+    n_max = args.levels
     # The last level's top label F_(n_max+2) is the largest; check it before building any level.
-    _check_digits(fib(max(n_max, 0) + 2), f"--levels {n_max}: labels")
+    top = max(n_max, 0) + 2
+    _check_digits(top, lambda: fib(top), f"--levels {n_max}: labels")
     levels = hofstadter_levels(n_max)
     return {"levels": [{"level": n, "lo": _j(lo), "hi": _j(hi)} for n, (lo, hi) in enumerate(levels)]}
 
@@ -244,9 +244,9 @@ def _g(args: argparse.Namespace) -> dict:
 
 @_command("verify", "run the property suites", _choice("--suite", "all", *SUITE_NAMES), _int("--max-level", 15))
 def _verify(args: argparse.Namespace) -> dict:
+    max_level = _within(args.max_level, MAX_VERIFY_LEVEL, "--max-level", "verify")
     from .verify import run_suites
 
-    max_level = _capped(args.max_level, "--max-level")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     checks, failures = run_suites(names, max_level=max_level)
     return {"suites": names, "checks_run": checks, "failures": failures, "ok": not failures}

@@ -124,13 +124,9 @@ class Atom(Enum):
 
 _INVERSE = {Atom.L: Atom.LINV, Atom.LINV: Atom.L, Atom.R: Atom.RINV, Atom.RINV: Atom.R}
 
-# Each atom acts affinely: z -> phi**k * z + beta.
-_AFFINE = {
-    Atom.L: (1, GoldInt(-1, -1)),  # L(z) = phi*z - phi^2
-    Atom.R: (2, ZERO),  # R(z) = phi^2 * z
-    Atom.LINV: (-1, PHI),
-    Atom.RINV: (-2, ZERO),
-}
+# Each atom acts affinely, z -> phi**k * z + beta; its exponent k:
+# L(z) = phi*z - phi^2, R(z) = phi^2 * z, and their inverses.
+_EXPONENT = {Atom.L: 1, Atom.R: 2, Atom.LINV: -1, Atom.RINV: -2}
 
 
 def _apply_atom(atom: Atom, z: GoldInt) -> GoldInt:
@@ -169,14 +165,11 @@ class MapWord:
         return all(a is Atom.L or a is Atom.R for a in self.atoms)
 
     def affine_parts(self) -> tuple[int, GoldInt]:
-        """(k, beta) such that the word acts as z -> phi**k * z + beta."""
-        k = 0
-        beta = ZERO
-        for atom in reversed(self.atoms):
-            ka, ba = _AFFINE[atom]
-            k += ka
-            beta = phi_pow(ka) * beta + ba
-        return k, beta
+        """(k, beta) such that the word acts as z -> phi**k * z + beta.
+
+        k adds up the atoms' exponents, and beta is the image of 0.
+        """
+        return sum(_EXPONENT[a] for a in self.atoms), self.apply(ZERO)
 
     def tokens(self) -> list[str]:
         return [a.value for a in self.atoms]

@@ -100,17 +100,18 @@ def level_interval(t: FibTree, n: int) -> LevelLabeling:
     return LevelLabeling(n, t.lo(n), t.hi(n))
 
 
-def build_levels(t: FibTree, n: int, max_level: int = MAX_BUILD_LEVEL) -> list[list[LevelNode]]:
+def build_levels(t: FibTree, n: int) -> list[list[LevelNode]]:
     """Levels 0..n built by literally applying the three labeling rules.
 
     Rules: the root (labeled a) gets children labeled b-1 (u) and b (v);
     a u-node labeled y under a parent labeled x gets children x+y-1 (u)
     and x+y (v); a v-node labeled t under z gets the single child z+t (u).
+    An n past MAX_BUILD_LEVEL raises.
     """
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    if n > max_level:
-        raise ValueError(f"level {n} exceeds build cap {max_level}")
+    if n > MAX_BUILD_LEVEL:
+        raise ValueError(f"level {n} exceeds build cap {MAX_BUILD_LEVEL}")
     levels: list[list[LevelNode]] = [[(t.a, U, None)]]
     if n == 0:
         return levels
@@ -135,10 +136,10 @@ def u_nodes(t: FibTree, n: int) -> Iterator[tuple[int, int, int, int, str]]:
 
     Read off the rule-built levels, level by level and left to right.
     A u-node under a u-node roots a primitive branch, seeded by (label,
-    parent label + label).  Callers bound n themselves: this builds past
-    MAX_BUILD_LEVEL when asked to.
+    parent label + label).  Built by `build_levels`, so n past
+    MAX_BUILD_LEVEL raises.
     """
-    levels = build_levels(t, n, max_level=n)
+    levels = build_levels(t, n)
     for level in range(1, n + 1):
         above = levels[level - 1]
         for pos, (label, letter, ppos) in enumerate(levels[level], 1):

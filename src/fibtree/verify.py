@@ -89,7 +89,7 @@ def check_consecutive_labels(grid: int = 5, max_level: int = 20) -> list[dict]:
     for a in range(-grid, grid + 1):
         for b in range(-grid, grid + 1):
             t = FibTree(a, b)
-            levels = build_levels(t, max_level, max_level=max(30, max_level))
+            levels = build_levels(t, max_level)
             for n, row in enumerate(levels):
                 labels = [node[0] for node in row]
                 lo, hi = t.lo(n), t.hi(n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldring import fib
 from .wythoff import u, v
 
 
@@ -50,13 +49,16 @@ def hofstadter_levels(n_max: int) -> list[tuple[int, int]]:
 
     Level 0 is [1..1]; level n >= 1 is [F_{n+1}+1 .. F_{n+2}], the
     complement of the nested left copy of the whole tree.  Concatenated,
-    the intervals read 1, 2, 3, ... without gap or repeat.
+    the intervals read 1, 2, 3, ... without gap or repeat.  The edges
+    step by the Fibonacci recursion, one addition per level.
     """
     if n_max < 0:
         raise ValueError(f"level must be >= 0, got {n_max}")
     out = [(1, 1)]
-    for n in range(1, n_max + 1):
-        out.append((fib(n + 1) + 1, fib(n + 2)))
+    f, g = 1, 2  # F_{n+1}, F_{n+2} at n = 1
+    for _ in range(n_max):
+        out.append((f + 1, g))
+        f, g = g, f + g
     return out
 
 

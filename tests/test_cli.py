@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -139,6 +140,59 @@ def test_hofstadter_past_the_digit_limit_exits_1(capsys):
     assert "--levels 20576" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["hofstadter", "--levels", "1000000000"], ["array", "--rows", "1", "--cols", "1000000000"]]
+)
+def test_digit_limit_decided_from_the_index(capsys, argv):
+    # F_m >= phi^(m-2) > 10^limit once m >= 5*limit + 2: no value is computed
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "-digit limit of integer text" in captured.err
+    assert elapsed < 1
+
+
+def test_self_contain_depth_cap(monkeypatch, capsys):
+    import fibtree.cli
+
+    assert fibtree.cli.MAX_SELF_CONTAIN_DEPTH == 2000
+    code, out = run_json(capsys, ["self-contain", "--id", "1,2", "--depth", "2000"])
+    assert code == 0 and len(json.loads(out)["result"]["words"]) == 2000
+
+    def unreachable(*args):
+        raise AssertionError("self_containment ran past its cap")
+
+    monkeypatch.setattr(fibtree.cli, "self_containment", unreachable)
+    code = run(["self-contain", "--id", "1,2", "--depth", "2001"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --depth 2001 exceeds the self-containment cap 2000\n"
+
+
+def test_verify_max_level_cap(monkeypatch, capsys):
+    import fibtree.cli
+    import fibtree.verify
+
+    assert fibtree.cli.MAX_VERIFY_LEVEL == 20
+    code, out = run_json(capsys, ["verify", "--suite", "labels", "--max-level", "20"])
+    assert code == 0 and json.loads(out)["result"]["ok"] is True
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the suites ran past their cap")
+
+    monkeypatch.setattr(fibtree.verify, "run_suites", unreachable)
+    code = run(["verify", "--suite", "labels", "--max-level", "21"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --max-level 21 exceeds the verify cap 20\n"
+
+
 def test_lub_depth_cap(monkeypatch, capsys):
     import fibtree.cli
 
@@ -182,16 +236,6 @@ def test_usage_errors_exit_2(capsys):
     assert run(["bogus"]) == 2
     assert run(["classify", "--id", "zebra"]) == 2
     assert run(["classify", "--unknown-flag", "1"]) == 2
-    capsys.readouterr()
-
-
-def test_env_ceiling(monkeypatch, capsys):
-    monkeypatch.setenv("FIBTREE_MAX_LEVEL", "3")
-    code = run(["tree", "--id", "0,1", "--levels", "9"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "FIBTREE_MAX_LEVEL" in captured.err
-    assert run(["tree", "--id", "0,1", "--levels", "3"]) == 0
     capsys.readouterr()
 
 
@@ -401,8 +445,7 @@ digraph "F[0,1]" {
 
 
 @pytest.mark.parametrize("argv, code, stdout", PINNED, ids=[p[0] for p in PINNED])
-def test_pinned_output(monkeypatch, capsys, argv, code, stdout):
-    monkeypatch.delenv("FIBTREE_MAX_LEVEL", raising=False)
+def test_pinned_output(capsys, argv, code, stdout):
     assert run(argv.split()) == code
     captured = capsys.readouterr()
     assert re.sub(r'"tool_version": "[^"]*"', '"tool_version": "*"', captured.out) == stdout

@@ -1,0 +1,110 @@
+"""Every argv built from the CLI's own table exits 0, 1, 2 or 3, fast.
+
+Hypothesis draws a subcommand of `cli._COMMANDS` and a value for each of
+its flags.  Pair values are small integers or 4,000-digit ones, and one
+pair in ten is malformed (exit 2).  Each
+flag that sizes levels, depths, rows or columns is drawn from a cheap
+range below its cap or from above the cap, where the command must refuse
+before any work; `array --cols` and `hofstadter --levels` are refused by
+the index alone from 5*limit + 2 on (limit: the interpreter's digit limit
+for integer text).  `array --rows` and the `wythoff` range have no cap
+yet, so they stay small: at most 6 rows, at most 31 ranks.  `verify`
+runs only the `group` suite or with a `--max-level` past its cap.  No
+drawn value asks for work without a bound.
+
+Not drawn: the trees F[1 - u(b), b] of the representing strip with
+4,000-digit labels, since 1 - u(b) is none of the drawn values.
+`find-seq` on them takes 3-7 s and `subtree` 15-18 s, one `u` call per
+level in range (ROADMAP item 2).
+"""
+
+import contextlib
+import io
+import json
+import sys
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibtree import cli
+
+LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+
+SMALL = st.integers(-20, 20)
+HUGE = st.sampled_from([10**3999 + 12345, -(10**3999) - 678, 3 * 10**3999 + 1, -7 * 10**3999])
+VALUE = st.one_of(SMALL, SMALL, SMALL, HUGE)
+PAIR = st.tuples(VALUE, VALUE).map(lambda p: f"{p[0]},{p[1]}")
+# `find-seq` and `subtree` scans cost the bit length of their inputs, whatever the cap
+SCAN_CAP = st.one_of(st.integers(-2, 100), st.integers(0, 10**12), st.just(10**3999))
+
+
+def _sizing(cheap_max: int, cap: int | None) -> st.SearchStrategy[int]:
+    """A cheap value below the cap, or one above it."""
+    cheap = st.integers(-2, cheap_max)
+    if cap is None:
+        return cheap
+    return st.one_of(cheap, st.integers(cap + 1, 10**12), st.just(10**3999))
+
+
+SIZING = {
+    ("tree", "--levels"): _sizing(6, cli.MAX_BUILD_LEVEL),
+    ("array", "--rows"): _sizing(6, None),  # no cap
+    ("array", "--cols"): _sizing(12, 5 * LIMIT if LIMIT else None),
+    ("self-contain", "--depth"): _sizing(60, cli.MAX_SELF_CONTAIN_DEPTH),
+    ("lub", "--depth"): _sizing(6, cli.MAX_LUB_DEPTH),
+    ("hofstadter", "--levels"): _sizing(60, 5 * LIMIT - 1 if LIMIT else None),
+    ("verify", "--max-level"): _sizing(cli.MAX_VERIFY_LEVEL, cli.MAX_VERIFY_LEVEL),
+}
+OVER_VERIFY_CAP = st.integers(cli.MAX_VERIFY_LEVEL + 1, 10**12)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, flags, _ = cli._COMMANDS[name]
+    values = {}
+    for flag, options in flags:
+        if options.get("default") is not None and draw(st.booleans()):
+            continue  # leave the default
+        if options.get("type") is cli._pair:
+            values[flag] = "1;2" if draw(st.integers(0, 9)) == 0 else draw(PAIR)
+        elif "choices" in options:
+            values[flag] = draw(st.sampled_from(options["choices"]))
+        elif flag == "--cap":
+            values[flag] = str(draw(SCAN_CAP))
+        elif (name, flag) in SIZING:
+            values[flag] = str(draw(SIZING[name, flag]))
+        elif (name, flag) == ("wythoff", "--to"):
+            # a range of at most 31 ranks from --from
+            values[flag] = str(int(values["--from"]) + draw(st.integers(-3, 30)))
+        else:
+            values[flag] = str(draw(st.one_of(VALUE, st.integers(-(10**12), 10**12))))
+    if name == "verify" and values.get("--suite") != "group":
+        values["--max-level"] = str(draw(OVER_VERIFY_CAP))
+    return [name, *(x for item in values.items() for x in item)]
+
+
+def test_every_drawn_argv_exits_cleanly():
+    drawn = set()
+
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(argvs())
+    def case(argv):
+        drawn.add(argv[0])
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
+        if code == 0 and dict(zip(argv[1::2], argv[2::2])).get("--format", "json") == "json":
+            json.loads(out.getvalue())
+        assert elapsed < 5, f"{argv[0]} took {elapsed:.1f} s"
+
+    case()
+    assert drawn == set(cli._COMMANDS)

@@ -123,6 +123,15 @@ def test_affine_parts_agree_with_apply(w, z):
     assert phi_pow(k) * z + beta == w.apply(z)
 
 
+def test_affine_parts_of_each_atom():
+    # L(z) = phi*z - phi^2, R(z) = phi^2 * z, L^-1(z) = (z + phi^2)/phi = z/phi + phi, R^-1(z) = z/phi^2
+    assert MapWord((Atom.L,)).affine_parts() == (1, GoldInt(-1, -1))
+    assert MapWord((Atom.R,)).affine_parts() == (2, ZERO)
+    assert MapWord((Atom.LINV,)).affine_parts() == (-1, PHI)
+    assert MapWord((Atom.RINV,)).affine_parts() == (-2, ZERO)
+    assert MapWord(()).affine_parts() == (0, ZERO)
+
+
 def test_fixed_point_anchors():
     assert fixed_point(MapWord((Atom.L,))) == PHI_CUBED
     assert fixed_point(MapWord((Atom.R, Atom.R, Atom.R))) == ZERO

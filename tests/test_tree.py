@@ -6,6 +6,7 @@ from fibtree.fibword import U, V, letter_at, u_count, v_count, word
 from fibtree.goldring import fib
 from fibtree.wythoff import u, v
 from fibtree.tree import (
+    MAX_BUILD_LEVEL,
     FibTree,
     NodeRef,
     branch_sequence,
@@ -56,7 +57,9 @@ def test_rules_level_five_is_the_interval():
 
 def test_rules_cap():
     with pytest.raises(ValueError, match="cap"):
-        build_levels(T01, 15, max_level=12)
+        build_levels(T01, MAX_BUILD_LEVEL + 1)
+    with pytest.raises(ValueError, match="cap"):
+        next(u_nodes(T01, MAX_BUILD_LEVEL + 1))
 
 
 def test_rules_equal_closed_form_small_grid():

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from fibtree.fibword import U
-from fibtree.goldring import fib
+from fibtree.goldring import _fib_pair, fib
 from fibtree.tree import FibTree, NodeRef, build_levels, parent_label
 from fibtree.verify import primitive_pairs_in_tree
 from fibtree.warray import hofstadter_g, hofstadter_levels, wythoff_array
@@ -66,6 +66,15 @@ def test_hofstadter_levels_are_the_right_region():
         rest = [label for label, _, _ in levels[n][fib(n + 1):]]
         lo, hi = intervals[n]
         assert rest == list(range(lo, hi + 1))
+
+
+def test_hofstadter_levels_step_by_additions():
+    # one addition per level: no Fibonacci number is computed, or cached, per level
+    before = _fib_pair.cache_info().currsize
+    levels = hofstadter_levels(5000)
+    assert _fib_pair.cache_info().currsize - before <= 64
+    assert len(levels) == 5001
+    assert all(levels[n] == (fib(n + 1) + 1, fib(n + 2)) for n in (1, 2, 17, 4999, 5000))
 
 
 def test_hofstadter_levels_validation():
