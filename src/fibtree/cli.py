@@ -68,12 +68,14 @@ def _pair(text: str) -> tuple[int, int]:
 def _check_digits(index: int, largest, what: str) -> None:
     """Refuse a result whose largest value, largest() >= F_index, has more digits than integer text allows.
 
-    F_m >= phi^(m-2) and phi^5 > 10, so F_m has more than `limit` digits
-    once m >= 5*limit + 2: past that index the value is never computed.
+    The limit is the interpreter's digit limit for integer text; when that
+    is off (0, as under -X int_max_str_digits=0), the default limit
+    (4,300) still bounds the work.  F_m >= phi^(m-2) and phi^5 > 10, so
+    F_m has more than `limit` digits once m >= 5*limit + 2: past that
+    index the value is never computed.
     """
-    # Pythons before 3.10.7 have no digit limit (0).
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and (index >= 5 * limit + 2 or largest() >= 10**limit):
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if index >= 5 * limit + 2 or largest() >= 10**limit:
         raise ValueError(f"{what} pass the {limit}-digit limit of integer text")
 
 

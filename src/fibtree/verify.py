@@ -24,12 +24,18 @@ from .fibword import U, V, letter_at, u_count, v_count, word
 from .goldring import Atom, GoldInt, MapWord, _apply_atom, fib, gold_sign, phi_pow
 from .order import is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
-from .tree import FibTree, NodeRef, branch_sequence, build_levels, node_label, parent_label, u_nodes
+from .tree import FibTree, NodeRef, branch_sequence, build_levels, children_labels, node_label, parent_label, u_nodes
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
 
 ORACLE_DIGITS = 50
 _SCALE = 10**ORACLE_DIGITS
+
+# floor(sqrt(5) * 10**50), via decimal arithmetic at guard precision, and floor(phi * 10**50).
+with localcontext() as _ctx:
+    _ctx.prec = ORACLE_DIGITS + 40
+    _SQRT5_SCALED = int(Decimal(5).sqrt() * _SCALE)
+_PHI_SCALED = (_SCALE + _SQRT5_SCALED) // 2
 
 # Fixture: ranks -6..8 of the extended pair table.
 TABLE_RANKS = list(range(-6, 9))
@@ -37,28 +43,14 @@ TABLE_U = [-10, -9, -7, -5, -4, -2, -1, 1, 3, 4, 6, 8, 9, 11, 12]
 TABLE_V = [-16, -14, -11, -8, -6, -3, -1, 2, 5, 7, 10, 13, 15, 18, 20]
 
 
-@lru_cache(maxsize=None)
-def _sqrt5_scaled() -> int:
-    """floor(sqrt(5) * 10**50), via decimal arithmetic at guard precision."""
-    with localcontext() as ctx:
-        ctx.prec = ORACLE_DIGITS + 40
-        return int(Decimal(5).sqrt() * _SCALE)
-
-
-@lru_cache(maxsize=None)
-def _phi_scaled() -> int:
-    """floor(phi * 10**50)."""
-    return (_SCALE + _sqrt5_scaled()) // 2
-
-
 def beatty_oracle(n: int) -> int:
     """floor(n * phi) from the 50-digit decimal constant; needs n != 0."""
-    return (n * _phi_scaled()) // _SCALE
+    return (n * _PHI_SCALED) // _SCALE
 
 
 def gold_sign_oracle(z: GoldInt) -> int:
     """Sign of a + b*phi from the 50-digit decimal constant."""
-    val = 2 * z.a * _SCALE + z.b * (_SCALE + _sqrt5_scaled())
+    val = 2 * z.a * _SCALE + z.b * (_SCALE + _SQRT5_SCALED)
     return (val > 0) - (val < 0)
 
 
@@ -118,8 +110,6 @@ def check_worked_example() -> list[dict]:
         failures.append(_fail("example-node", f"node (5,6) gave {got}, want (-2, u)"))
     if parent_label(t, ref) != -1:
         failures.append(_fail("example-parent", f"parent gave {parent_label(t, ref)}"))
-    from .tree import children_labels
-
     kids = children_labels(t, ref)
     if kids != [(-4, U), (-3, V)]:
         failures.append(_fail("example-children", f"children gave {kids}"))

@@ -1,101 +1,19 @@
-"""Acceptance gate: the full battery at its stated scales, one line per criterion.
+"""Acceptance gate: every check of `verify.SUITES` at the scale its signature states.
 
-Everything here is exact integer arithmetic, so every comparison is at
-zero tolerance.  Run with `pytest -s tests/test_acceptance.py` to see the
-per-criterion lines.
+The cases are read from the table, so a check added to a suite runs here
+with no edit.  Everything is exact integer arithmetic, so every
+comparison is at zero tolerance.  Run `pytest tests/test_acceptance.py
+-v` for one line per check, with ids `suite-check_name`.
 """
 
-from fibtree.verify import (
-    check_classification,
-    check_commutator,
-    check_consecutive_labels,
-    check_find_sequence,
-    check_group_laws,
-    check_hofstadter,
-    check_lemma_witnesses,
-    check_lub,
-    check_order_antisymmetry,
-    check_order_brute_force,
-    check_self_containment,
-    check_superposition,
-    check_table_fixture,
-    check_worked_example,
-    check_wythoff_array,
-    check_wythoff_identities,
-    check_zero_occurrences,
-)
+import pytest
+
+from fibtree.verify import SUITES
+
+CASES = [(suite, check) for suite, checks in SUITES.items() for check in checks]
 
 
-def report(number: int, title: str, failures: list[dict]) -> None:
-    status = "PASS" if not failures else f"FAIL ({len(failures)} failures)"
-    print(f"criterion {number:2d} ({title}): {status}")
-    for f in failures[:10]:
-        print(f"    - {f}")
-    assert not failures, f"criterion {number}: {failures[:10]}"
-
-
-def test_c01_consecutive_labels():
-    # all 121 trees with |a|,|b| <= 5, every level n <= 20, rule-built vs closed form
-    report(1, "consecutive labels, grid 5 x levels 20", check_consecutive_labels(grid=5, max_level=20))
-
-
-def test_c02_pair_table_fixture():
-    report(2, "u and v match the 15-column pair table", check_table_fixture())
-
-
-def test_c03_wythoff_identities_and_oracle():
-    # v = u + n and v = u(u(n)) + 1 for |n| <= 10^4; 50-digit oracle to 10^6
-    report(3, "pair identities to 1e4, Beatty oracle to 1e6", check_wythoff_identities(n_id=10**4, n_oracle=10**6))
-
-
-def test_c04_worked_example():
-    report(4, "level-5 node -2 with parent -1 and child -3", check_worked_example())
-
-
-def test_c05_hofstadter_coverage_and_g():
-    # levels 0..10 concatenate to 1..144; parent labels equal g(n) for n <= 10^4
-    report(5, "consecutive-integer region + g(n) to 1e4", check_hofstadter(levels=10, g_max=10**4))
-
-
-def test_c06_wythoff_array_corner_and_branches():
-    report(
-        6,
-        "40x10 array corner; first 10 rows found as branches",
-        check_wythoff_array(rows=40, cols=10, cover=100, locate_rows=10, locate_cap=30),
-    )
-
-
-def test_c07_group_structure():
-    failures = check_group_laws(samples=1000) + check_superposition(pairs=20, levels=12)
-    report(7, "group laws x1000, superposition x20 to level 12", failures)
-
-
-def test_c08_representation():
-    failures = (
-        check_classification()
-        + check_find_sequence(seed_bound=10, cap=60, replay=10)
-        + check_zero_occurrences(cap=15)
-    )
-    report(8, "classification; all seeds |c|,|d|<=10 in 4 trees; zero count", failures)
-
-
-def test_c09_order():
-    failures = (
-        check_order_brute_force(grid=4, cap=12)
-        + check_order_antisymmetry(grid=6, cap=15)
-        + check_self_containment(grid=6, depth=10)
-        + check_lub(depth=4)
-    )
-    report(9, "subtree decisions, antisymmetry, self-containment, joins", failures)
-
-
-def test_c10_commutator_identity():
-    report(10, "map commutator constant, p,q <= 6, 100 points", check_commutator(p_max=6, q_max=6, samples=100))
-
-
-def test_c11_lemma_witnesses():
-    report(
-        11,
-        "shift lemma n1 <= 30 x50; unique zero level in 1..40 x20",
-        check_lemma_witnesses(pairs=50, n_max=30, zero_trees=20, zero_window=40),
-    )
+@pytest.mark.parametrize("suite, check", CASES, ids=[f"{s}-{c.__name__}" for s, c in CASES])
+def test_check_passes(suite, check):
+    failures = check()
+    assert failures == [], f"{suite}: {failures[:10]}"

@@ -140,9 +140,10 @@ def test_hofstadter_past_the_digit_limit_exits_1(capsys):
     assert "--levels 20576" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv", [["hofstadter", "--levels", "1000000000"], ["array", "--rows", "1", "--cols", "1000000000"]]
-)
+PAST_THE_INDEX = [["hofstadter", "--levels", "1000000000"], ["array", "--rows", "1", "--cols", "1000000000"]]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_INDEX)
 def test_digit_limit_decided_from_the_index(capsys, argv):
     # F_m >= phi^(m-2) > 10^limit once m >= 5*limit + 2: no value is computed
     start = time.perf_counter()
@@ -154,6 +155,17 @@ def test_digit_limit_decided_from_the_index(capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert "-digit limit of integer text" in captured.err
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("argv", PAST_THE_INDEX)
+def test_digit_limit_off_falls_back_to_the_default(capsys, argv):
+    # limit 0 (-X int_max_str_digits=0) lifts the interpreter's limit; the check keeps the default one
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        test_digit_limit_decided_from_the_index(capsys, argv)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_self_contain_depth_cap(monkeypatch, capsys):
@@ -179,8 +191,17 @@ def test_verify_max_level_cap(monkeypatch, capsys):
     import fibtree.verify
 
     assert fibtree.cli.MAX_VERIFY_LEVEL == 20
+    # The level-20 build itself runs in the table test of test_acceptance.py.
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return 2, []
+
+    monkeypatch.setattr(fibtree.verify, "run_suites", stub)
     code, out = run_json(capsys, ["verify", "--suite", "labels", "--max-level", "20"])
     assert code == 0 and json.loads(out)["result"]["ok"] is True
+    assert calls == [((["labels"],), {"max_level": 20})]
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the suites ran past their cap")

@@ -7,10 +7,11 @@ flag that sizes levels, depths, rows or columns is drawn from a cheap
 range below its cap or from above the cap, where the command must refuse
 before any work; `array --cols` and `hofstadter --levels` are refused by
 the index alone from 5*limit + 2 on (limit: the interpreter's digit limit
-for integer text).  `array --rows` and the `wythoff` range have no cap
-yet, so they stay small: at most 6 rows, at most 31 ranks.  `verify`
-runs only the `group` suite or with a `--max-level` past its cap.  No
-drawn value asks for work without a bound.
+for integer text, or its default when the limit is off).  `array --rows`
+and the `wythoff` range have no cap yet, so they stay small: at most 6
+rows, at most 31 ranks.  `verify` runs only the `group` suite or with a
+`--max-level` past its cap.  No drawn value asks for work without a
+bound.
 
 Not drawn: the trees F[1 - u(b), b] of the representing strip with
 4,000-digit labels, since 1 - u(b) is none of the drawn values.
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from fibtree import cli
 
-LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 SMALL = st.integers(-20, 20)
 HUGE = st.sampled_from([10**3999 + 12345, -(10**3999) - 678, 3 * 10**3999 + 1, -7 * 10**3999])
@@ -50,10 +51,10 @@ def _sizing(cheap_max: int, cap: int | None) -> st.SearchStrategy[int]:
 SIZING = {
     ("tree", "--levels"): _sizing(6, cli.MAX_BUILD_LEVEL),
     ("array", "--rows"): _sizing(6, None),  # no cap
-    ("array", "--cols"): _sizing(12, 5 * LIMIT if LIMIT else None),
+    ("array", "--cols"): _sizing(12, 5 * LIMIT),
     ("self-contain", "--depth"): _sizing(60, cli.MAX_SELF_CONTAIN_DEPTH),
     ("lub", "--depth"): _sizing(6, cli.MAX_LUB_DEPTH),
-    ("hofstadter", "--levels"): _sizing(60, 5 * LIMIT - 1 if LIMIT else None),
+    ("hofstadter", "--levels"): _sizing(60, 5 * LIMIT - 1),
     ("verify", "--max-level"): _sizing(cli.MAX_VERIFY_LEVEL, cli.MAX_VERIFY_LEVEL),
 }
 OVER_VERIFY_CAP = st.integers(cli.MAX_VERIFY_LEVEL + 1, 10**12)

@@ -89,12 +89,6 @@ def test_gold_sign_matches_decimal_oracle(a, b):
     assert gold_sign(z) == gold_sign_oracle(z)
 
 
-def test_gold_sign_matches_decimal_oracle_full_grid():
-    from fibtree.verify import check_gold_sign_oracle
-
-    assert check_gold_sign_oracle(1000) == []
-
-
 def test_apply_map_anchors():
     assert MapWord((Atom.L,)).apply(PHI) == ZERO
     assert MapWord((Atom.R,)).apply(PHI) == PHI_CUBED
