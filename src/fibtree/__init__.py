@@ -10,7 +10,7 @@ integer arithmetic, with no floating point anywhere in the core.
 
 from .goldring import Atom, GoldInt, MapWord, fib, fixed_point, gold_sign, phi_pow
 from .wythoff import FibSeq, reference_index, u, u_inverse, v
-from .fibword import Word, letter_at, u_count, v_count, word
+from .fibword import letter_at, u_count, v_count, word
 from .tree import (
     FibTree,
     LevelLabeling,
@@ -33,9 +33,9 @@ from .represent import (
     find_sequence,
 )
 from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
-from .warray import WythoffArray, hofstadter_g, hofstadter_levels, wythoff_array
+from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "Atom",
@@ -48,8 +48,6 @@ __all__ = [
     "Occurrence",
     "SubtreeWitness",
     "TreeClass",
-    "Word",
-    "WythoffArray",
     "branch_sequence",
     "build_levels",
     "children_labels",

@@ -10,7 +10,8 @@ big integers stay safe.  Exit codes: 0 success, 1 domain error, 2 usage
 error, 3 verification failure.  Level n of a tree holds F_(n+2) labels,
 so each flag that sizes levels, depths or word lists has a fixed cap,
 checked before any work; `array` and `hofstadter` refuse a largest value
-past the interpreter's digit limit for integer text.  The oracles of
+past the interpreter's digit limit for integer text, and the three table
+commands refuse a table past a fixed output bound.  The oracles of
 `fibtree.verify` load on demand, only for the `verify` subcommand.
 """
 
@@ -23,7 +24,7 @@ import sys
 
 from . import __version__
 from .algebra import tree_sum
-from .fibword import U, u_count
+from .fibword import U, u_count, word
 from .goldring import fib
 from .order import DEFAULT_SUBTREE_CAP, is_subtree, least_upper_bound, self_containment
 from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
@@ -42,6 +43,10 @@ MAX_SELF_CONTAIN_DEPTH = 2000
 # `verify --suite labels` builds 121 trees to this level: 2.6-2.9 s and 28 MiB at 20, about 2.6x per two levels
 # (as a process, Python 3.11, 2-vCPU host).
 MAX_VERIFY_LEVEL = 20
+# `array`, `wythoff` and `hofstadter` bound rows x numbers per row x digits of the largest number.  At this bound
+# `wythoff --from 0 --to 277000` took 1.3 s and 118 MiB, `array --rows 357000 --cols 2` 1.2 s and 109 MiB; twice
+# the bound took 1.8-2.7 s and 200-216 MiB (as a process, Python 3.11, 2-vCPU host).
+MAX_OUTPUT_DIGITS = 5_000_000
 
 # The keys of verify.SUITES, in order; written here so that `--suite`
 # needs no import of the oracles.
@@ -65,8 +70,8 @@ def _pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'a,b' with integers, got {text!r}")
 
 
-def _check_digits(index: int, largest, what: str) -> None:
-    """Refuse a result whose largest value, largest() >= F_index, has more digits than integer text allows.
+def _check_digits(index: int, largest, what: str) -> int:
+    """largest(), the largest value of a result (at least F_index), refused past the digits integer text allows.
 
     The limit is the interpreter's digit limit for integer text; when that
     is off (0, as under -X int_max_str_digits=0), the default limit
@@ -75,8 +80,15 @@ def _check_digits(index: int, largest, what: str) -> None:
     index the value is never computed.
     """
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if index >= 5 * limit + 2 or largest() >= 10**limit:
+    if index >= 5 * limit + 2 or (value := largest()) >= 10**limit:
         raise ValueError(f"{what} pass the {limit}-digit limit of integer text")
+    return value
+
+
+def _check_output(rows: int, per_row: int, largest: int, what: str) -> None:
+    """Refuse a table of rows x per_row numbers, none longer than largest, past MAX_OUTPUT_DIGITS."""
+    if rows * per_row * len(str(abs(largest))) > MAX_OUTPUT_DIGITS:
+        raise ValueError(f"{what} pass the {MAX_OUTPUT_DIGITS}-digit output bound")
 
 
 def _within(value: int, cap: int, flag: str, what: str) -> int:
@@ -124,7 +136,7 @@ def _tree_json(t: FibTree, walk: list[LevelLabeling]) -> dict:
             "hi": _j(lv.hi),
             "nodes": [
                 {"label": _j(lv.lo + i - 1), "letter": c, "parent_pos": u_count(i) if lv.n else None}
-                for i, c in enumerate(lv.pattern.letters, 1)
+                for i, c in enumerate(word(lv.n), 1)
             ],
         }
         for lv in walk
@@ -133,13 +145,13 @@ def _tree_json(t: FibTree, walk: list[LevelLabeling]) -> dict:
 
 
 def _tree_ascii(t: FibTree, walk: list[LevelLabeling]) -> str:
-    return "\n".join([f"tree {t}", *(f"level {lv.n}: [{lv.lo} .. {lv.hi}] {lv.pattern.letters}" for lv in walk)])
+    return "\n".join([f"tree {t}", *(f"level {lv.n}: [{lv.lo} .. {lv.hi}] {word(lv.n)}" for lv in walk)])
 
 
 def _tree_dot(t: FibTree, walk: list[LevelLabeling]) -> str:
     nodes, edges = [], []
     for lv in walk:
-        for i, c in enumerate(lv.pattern.letters, 1):
+        for i, c in enumerate(word(lv.n), 1):
             shape = "ellipse" if c == U else "triangle"
             nodes.append(f'  n{lv.n}_{i} [label="{lv.lo + i - 1}", shape={shape}];')
             if lv.n:
@@ -170,8 +182,9 @@ def _array(args: argparse.Namespace) -> dict | str:
         m = u(args.rows)
         last_row = FibSeq(u(m), v(m))
         what = f"--rows {args.rows} --cols {args.cols}: entries"
-        _check_digits(args.cols + 1, lambda: last_row.term(args.cols - 1), what)
-    rows = wythoff_array(args.rows, args.cols).rows
+        largest = _check_digits(args.cols + 1, lambda: last_row.term(args.cols - 1), what)
+        _check_output(args.rows, args.cols, largest, what)
+    rows = wythoff_array(args.rows, args.cols)
     if args.format == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
     return {"rows": [[_j(x) for x in row] for row in rows]}
@@ -181,6 +194,9 @@ def _array(args: argparse.Namespace) -> dict | str:
 def _wythoff(args: argparse.Namespace) -> dict:
     if args.start > args.end:
         raise ValueError(f"--from {args.start} exceeds --to {args.end}")
+    # v is increasing, so the largest magnitude among n, u(n), v(n) is at an end of the range.
+    largest = max(abs(v(args.start)), abs(v(args.end)))
+    _check_output(args.end - args.start + 1, 3, largest, f"--from {args.start} --to {args.end}: pairs")
     return {"pairs": [{"n": n, "u": _j(u(n)), "v": _j(v(n))} for n in range(args.start, args.end + 1)]}
 
 
@@ -234,7 +250,9 @@ def _hofstadter(args: argparse.Namespace) -> dict:
     n_max = args.levels
     # The last level's top label F_(n_max+2) is the largest; check it before building any level.
     top = max(n_max, 0) + 2
-    _check_digits(top, lambda: fib(top), f"--levels {n_max}: labels")
+    what = f"--levels {n_max}: labels"
+    largest = _check_digits(top, lambda: fib(top), what)
+    _check_output(n_max + 1, 3, largest, what)
     levels = hofstadter_levels(n_max)
     return {"levels": [{"level": n, "lo": _j(lo), "hi": _j(hi)} for n, (lo, hi) in enumerate(levels)]}
 

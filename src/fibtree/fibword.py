@@ -8,9 +8,6 @@ any materialized prefix.  Positions are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 from .wythoff import u
 
 U = "u"
@@ -20,39 +17,16 @@ V = "v"
 MAX_WORD_LEVEL = 30
 
 
-@dataclass(frozen=True)
-class Word:
-    """Finite Fibonacci word: level n, F_{n+2} letters."""
-
-    level: int
-    letters: str
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def letter(self, i: int) -> str:
-        """Letter at 1-based position i."""
-        if not 1 <= i <= len(self.letters):
-            raise ValueError(f"position {i} outside 1..{len(self.letters)}")
-        return self.letters[i - 1]
-
-
-@lru_cache(maxsize=None)
-def _letters(n: int) -> str:
-    if n == 0:
-        return U
-    if n == 1:
-        return U + V
-    return _letters(n - 1) + _letters(n - 2)
-
-
-def word(n: int) -> Word:
-    """The level-n Fibonacci word, built by the concatenation recursion."""
+def word(n: int) -> str:
+    """The level-n Fibonacci word, F_{n+2} letters, built by the concatenation recursion."""
     if n < 0:
         raise ValueError(f"word level must be >= 0, got {n}")
     if n > MAX_WORD_LEVEL:
         raise ValueError(f"word level {n} exceeds materialization cap {MAX_WORD_LEVEL}")
-    return Word(n, _letters(n))
+    w, prev = U, V
+    for _ in range(n):
+        w, prev = w + prev, w
+    return w
 
 
 def letter_at(i: int) -> str:

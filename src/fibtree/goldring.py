@@ -70,9 +70,6 @@ class GoldInt:
         """Field norm a**2 + ab - b**2; multiplicative, zero only at zero."""
         return self.a * self.a + self.a * self.b - self.b * self.b
 
-    def sign(self) -> int:
-        return gold_sign(self)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

@@ -30,7 +30,7 @@ from enum import Enum
 from .goldring import GoldInt, gold_sign
 from .fibword import U
 from .tree import FibTree, u_nodes
-from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u, u_inverse
+from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u
 
 DEFAULT_LEVEL_CAP = 60
 
@@ -244,8 +244,8 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     test u(k) == t_m) exactly when 0 < delta_m < 1/phi, and then
     frac(k*phi) = phi*delta_m.  The pair (-1, -1) of rank 0 passes that
     test too, but 0 is no u-value and delta = 1/phi there.  The ranks k
-    with u_inverse(k) defined (u-values, -1 = u(0) included) are exactly
-    those with frac(k*phi) >= 1/phi^2: k = u(i) > 0 gives
+    that are u-values (-1 = u(0) included) are exactly those with
+    frac(k*phi) >= 1/phi^2: k = u(i) > 0 gives
     frac = 1 - frac(i*phi)/phi, k = v(i) gives frac(i*phi)/phi^2, k = -1
     gives 1/phi^2, and k = -n < -1 is a u-value iff n - 1 is one, with
     frac(k*phi) = 1 + 1/phi^2 - frac((n-1)*phi) or 1/phi^2 - frac((n-1)*phi).
@@ -260,8 +260,12 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     M is the first index of the parity with delta_m > 0 that has
     |delta_0| < phi^(m-1).  `delta_bits` estimates log2|delta_0| within
     2, which places M within 3 steps of two; an exact walk over the
-    parity class with gold_sign tests of delta_m < 1/phi finds it, and
-    the exact u/u_inverse test confirms the row start.
+    parity class with gold_sign tests of delta_m < 1/phi finds it.
+
+    The walk has proven (t0, t1) = (u(u(j)), v(u(j))), so j reads off
+    the pair: t1 - t0 = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1
+    (the `v-from-uu` identity that `verify.check_wythoff_identities`
+    checks) gives j = 2*t0 + 1 - t1, with no u call.
     """
     c, d = s.c, s.d
     bits, _ = delta_bits(c, d)
@@ -275,11 +279,7 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     else:
         while not _below_inverse_phi(t0, t1):
             m, t0, t1 = m + 2, t0 + t1, t0 + 2 * t1
-    rank = t1 - t0
-    j = u_inverse(rank) if u(rank) == t0 else None
-    if j is None:
-        raise RuntimeError(f"pair {(t0, t1)} at index {m} of {s} does not start a row")
-    return j, m
+    return 2 * t0 + 1 - t1, m
 
 
 def _below_inverse_phi(t0: int, t1: int) -> bool:
@@ -297,9 +297,10 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     u-node, and that child's v-child carries u(j) + u(u(j)) = v(u(j)).
     So the search is `first_witness(u(j), j, ...)` one level up, the
     same scan and cutoff that `order.is_subtree` runs, with u(j) read
-    off the aligned pair as v(u(j)) - u(u(j)), a rank the alignment has
-    already checked; the zero target is the subtree F[0,1], whose root's
-    u-child carries 0 and has the v-child 0.
+    off the aligned pair as v(u(j)) - u(u(j)); the zero target is the
+    subtree F[0,1], whose root's u-child carries 0 and has the v-child 0.
+    A hit at the first level in range costs two u calls: the scan's
+    test and the witness position.
 
     Both the alignment and the scan's jump over the levels out of range
     cost O(1) big-int operations, so a 10^3-digit target costs what its

@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .goldring import GoldInt, fib
-from .fibword import U, V, Word, letter_at, u_count, word
+from .fibword import U, V, letter_at, u_count
 from .wythoff import FibSeq
 
 # Rule-by-rule construction cap: level n holds F_{n+2} nodes.
@@ -72,25 +72,11 @@ class NodeRef:
 
 @dataclass(frozen=True)
 class LevelLabeling:
-    """Closed-form description of one level: label interval plus letter pattern."""
+    """Closed-form label interval lo..hi of level n; its letters are `word(n)`."""
 
     n: int
     lo: int
     hi: int
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def pattern(self) -> Word:
-        return word(self.n)
-
-    def labels(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def __contains__(self, label: int) -> bool:
-        return self.lo <= label <= self.hi
 
 
 def level_interval(t: FibTree, n: int) -> LevelLabeling:
@@ -201,8 +187,7 @@ def branch_sequence(t: FibTree, start: NodeRef, length: int) -> list[int]:
     label, letter = node_label(t, start)
     if letter != U:
         raise ValueError(f"branch must start at a u-node, got v at {start}")
-    second = t.b if start.level == 0 else parent_label(t, start) + label
-    out = [label, second]
+    out = [label, children_labels(t, start)[1][0]]
     while len(out) < length:
         out.append(out[-2] + out[-1])
     return out

@@ -93,7 +93,7 @@ def check_consecutive_labels(grid: int = 5, max_level: int = 20) -> list[dict]:
                         )
                     )
                 letters = "".join(node[1] for node in row)
-                if letters != word(n).letters:
+                if letters != word(n):
                     failures.append(
                         _fail("level-pattern", f"{t} level {n}: pattern mismatch")
                     )
@@ -196,25 +196,20 @@ def check_group_laws(samples: int = 1000, bound: int = 10**6, seed: int = 202608
 
 
 def check_superposition(pairs: int = 20, levels: int = 12, seed: int = 97) -> list[dict]:
-    """Level-wise label addition minus the base interval equals the sum tree."""
+    """Rule-built levels added node by node, minus those of the base tree F[0,0], are the sum tree's."""
     failures = []
     rng = random.Random(seed)
+    base = build_levels(FibTree(0, 0), levels)
     for _ in range(pairs):
         t1 = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
         t2 = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
-        result = tree_sum(t1, t2)
-        # all three intervals share the width F_{n+2}, so endpoints suffice
+        built1, built2, summed = (build_levels(t, levels) for t in (t1, t2, tree_sum(t1, t2)))
         for n in range(levels + 1):
-            base_lo = -fib(n + 2) + 1
-            lo = t1.lo(n) + t2.lo(n) - base_lo
-            hi = t1.hi(n) + t2.hi(n) - 0
-            if (lo, hi) != (result.lo(n), result.hi(n)):
+            added = [x[0] + y[0] - z[0] for x, y, z in zip(built1[n], built2[n], base[n])]
+            labels = [node[0] for node in summed[n]]
+            if added != labels:
                 failures.append(
-                    _fail(
-                        "superposition",
-                        f"superposition mismatch at level {n}: "
-                        f"[{lo}..{hi}] vs [{result.lo(n)}..{result.hi(n)}]",
-                    )
+                    _fail("superposition", f"superposition mismatch at level {n}: {added[:4]}.. vs {labels[:4]}..")
                 )
                 break
     if tree_sum(FibTree(0, 1), FibTree(1, 1)) != FibTree(1, 2):
@@ -260,7 +255,7 @@ def check_find_sequence(seed_bound: int = 10, cap: int = 60, replay: int = 10) -
                 try:
                     occ = find_sequence(t, s, level_cap=cap)
                     got = branch_sequence(t, NodeRef(occ.level, occ.pos), replay)
-                except (ValueError, RuntimeError) as exc:
+                except ValueError as exc:
                     failures.append(_fail("find-sequence", f"{t} {s}: {exc}"))
                     continue
                 want = [s.term(occ.shift + k) for k in range(replay)]
@@ -563,17 +558,17 @@ def check_wythoff_array(
 ) -> list[dict]:
     failures = []
     arr = wythoff_array(rows, cols)
-    if arr.rows[0][:6] != (1, 2, 3, 5, 8, 13):
-        failures.append(_fail("array-row1", f"{arr.rows[0][:6]}"))
-    if arr.rows[1][:5] != (4, 7, 11, 18, 29):
-        failures.append(_fail("array-row2", f"{arr.rows[1][:5]}"))
-    flat = [x for row in arr.rows for x in row]
+    if arr[0][:6] != (1, 2, 3, 5, 8, 13):
+        failures.append(_fail("array-row1", f"{arr[0][:6]}"))
+    if arr[1][:5] != (4, 7, 11, 18, 29):
+        failures.append(_fail("array-row2", f"{arr[1][:5]}"))
+    flat = [x for row in arr for x in row]
     if len(set(flat)) != len(flat):
         failures.append(_fail("array-distinct", "duplicate entries"))
-    for row in arr.rows:
+    for row in arr:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
             failures.append(_fail("array-monotone", f"row {row[:3]}.."))
-    starts = [row[0] for row in arr.rows]
+    starts = [row[0] for row in arr]
     if any(starts[i] >= starts[i + 1] for i in range(len(starts) - 1)):
         failures.append(_fail("array-row-starts", "row starts not increasing"))
     missing = set(range(1, cover + 1)) - set(flat)
@@ -581,13 +576,13 @@ def check_wythoff_array(
         failures.append(_fail("array-cover", f"missing {sorted(missing)[:5]}"))
     t = FibTree(1, 2)
     for j in range(locate_rows):
-        s = FibSeq(arr.rows[j][0], arr.rows[j][1])
+        s = FibSeq(*arr[j][:2])
         try:
             occ = find_sequence(t, s, level_cap=locate_cap)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             failures.append(_fail("array-as-branches", f"row {j + 1}: {exc}"))
             continue
-        if occ.pair != (arr.rows[j][0], arr.rows[j][1]):
+        if occ.pair != arr[j][:2]:
             failures.append(_fail("array-as-branches", f"row {j + 1}: pair {occ.pair}"))
     return failures
 

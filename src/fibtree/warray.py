@@ -14,24 +14,11 @@ over rule-built levels, whose pairs in F[1,2] seed the array's rows, is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .wythoff import u, v
 
 
-@dataclass(frozen=True)
-class WythoffArray:
-    """Top-left corner of the array: row j starts (u(u(j)), v(u(j)))."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0]) if self.rows else 0
-
-
-def wythoff_array(rows: int, cols: int) -> WythoffArray:
-    """The rows x cols corner, each row extended by the Fibonacci recursion."""
+def wythoff_array(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """The rows x cols corner as a tuple of rows, each extended by the Fibonacci recursion."""
     if rows < 1 or cols < 2:
         raise ValueError(f"need rows >= 1 and cols >= 2, got {rows}x{cols}")
     out = []
@@ -41,7 +28,7 @@ def wythoff_array(rows: int, cols: int) -> WythoffArray:
         while len(row) < cols:
             row.append(row[-2] + row[-1])
         out.append(tuple(row))
-    return WythoffArray(tuple(out))
+    return tuple(out)
 
 
 def hofstadter_levels(n_max: int) -> list[tuple[int, int]]:

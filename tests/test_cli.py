@@ -168,6 +168,46 @@ def test_digit_limit_off_falls_back_to_the_default(capsys, argv):
         sys.set_int_max_str_digits(old)
 
 
+# Each passes the digit check; without the output bound each printed 7-125 MB.
+PAST_THE_OUTPUT_BOUND = [
+    ["array", "--rows", "400000", "--cols", "2"],
+    ["array", "--rows", "3", "--cols", "20000", "--format", "csv"],
+    ["wythoff", "--from", "0", "--to", "300000"],
+    ["hofstadter", "--levels", "20575"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_OUTPUT_BOUND)
+def test_table_past_the_output_bound_exits_1(capsys, argv):
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "-digit output bound" in captured.err
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (["array", "--rows", "2", "--cols", "5"], 2 * 5 * 2),  # largest entry 29
+        (["wythoff", "--from", "-2", "--to", "2"], 5 * 3 * 1),  # largest magnitude |v(-2)| = 6
+        (["hofstadter", "--levels", "4"], 5 * 3 * 1),  # largest label 8
+    ],
+)
+def test_output_bound_counts_rows_numbers_and_digits(monkeypatch, capsys, argv, size):
+    import fibtree.cli
+
+    monkeypatch.setattr(fibtree.cli, "MAX_OUTPUT_DIGITS", size)
+    assert run(argv) == 0
+    monkeypatch.setattr(fibtree.cli, "MAX_OUTPUT_DIGITS", size - 1)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.endswith(f"pass the {size - 1}-digit output bound\n")
+
+
 def test_self_contain_depth_cap(monkeypatch, capsys):
     import fibtree.cli
 

@@ -8,10 +8,11 @@ range below its cap or from above the cap, where the command must refuse
 before any work; `array --cols` and `hofstadter --levels` are refused by
 the index alone from 5*limit + 2 on (limit: the interpreter's digit limit
 for integer text, or its default when the limit is off).  `array --rows`
-and the `wythoff` range have no cap yet, so they stay small: at most 6
-rows, at most 31 ranks.  `verify` runs only the `group` suite or with a
-`--max-level` past its cap.  No drawn value asks for work without a
-bound.
+and the `wythoff` range are drawn small (at most 6 rows, at most 31
+ranks) or past the output bound: so many rows that the table would pass
+it even with one digit per number.  `verify` runs only the `group` suite
+or with a `--max-level` past its cap.  No drawn value asks for work
+without a bound.
 
 Not drawn: the trees F[1 - u(b), b] of the representing strip with
 4,000-digit labels, since 1 - u(b) is none of the drawn values.
@@ -40,17 +41,14 @@ PAIR = st.tuples(VALUE, VALUE).map(lambda p: f"{p[0]},{p[1]}")
 SCAN_CAP = st.one_of(st.integers(-2, 100), st.integers(0, 10**12), st.just(10**3999))
 
 
-def _sizing(cheap_max: int, cap: int | None) -> st.SearchStrategy[int]:
+def _sizing(cheap_max: int, cap: int) -> st.SearchStrategy[int]:
     """A cheap value below the cap, or one above it."""
-    cheap = st.integers(-2, cheap_max)
-    if cap is None:
-        return cheap
-    return st.one_of(cheap, st.integers(cap + 1, 10**12), st.just(10**3999))
+    return st.one_of(st.integers(-2, cheap_max), st.integers(cap + 1, 10**12), st.just(10**3999))
 
 
 SIZING = {
     ("tree", "--levels"): _sizing(6, cli.MAX_BUILD_LEVEL),
-    ("array", "--rows"): _sizing(6, None),  # no cap
+    ("array", "--rows"): _sizing(6, cli.MAX_OUTPUT_DIGITS // 2),  # at least 2 columns
     ("array", "--cols"): _sizing(12, 5 * LIMIT),
     ("self-contain", "--depth"): _sizing(60, cli.MAX_SELF_CONTAIN_DEPTH),
     ("lub", "--depth"): _sizing(6, cli.MAX_LUB_DEPTH),
@@ -58,6 +56,7 @@ SIZING = {
     ("verify", "--max-level"): _sizing(cli.MAX_VERIFY_LEVEL, cli.MAX_VERIFY_LEVEL),
 }
 OVER_VERIFY_CAP = st.integers(cli.MAX_VERIFY_LEVEL + 1, 10**12)
+PAST_BOUND_RANKS = st.one_of(st.integers(cli.MAX_OUTPUT_DIGITS // 3, 10**12), st.just(10**3999))
 
 
 @st.composite
@@ -77,8 +76,8 @@ def argvs(draw) -> list[str]:
         elif (name, flag) in SIZING:
             values[flag] = str(draw(SIZING[name, flag]))
         elif (name, flag) == ("wythoff", "--to"):
-            # a range of at most 31 ranks from --from
-            values[flag] = str(int(values["--from"]) + draw(st.integers(-3, 30)))
+            # at most 31 ranks from --from, or so many that 3 one-digit numbers a rank pass the output bound
+            values[flag] = str(int(values["--from"]) + draw(st.one_of(st.integers(-3, 30), PAST_BOUND_RANKS)))
         else:
             values[flag] = str(draw(st.one_of(VALUE, st.integers(-(10**12), 10**12))))
     if name == "verify" and values.get("--suite") != "group":

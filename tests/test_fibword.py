@@ -13,25 +13,25 @@ def substitute(letters: str) -> str:
 
 def test_first_words_fixture():
     for n, want in enumerate(FIRST_WORDS):
-        assert word(n).letters == want
+        assert word(n) == want
 
 
 def test_concatenation_recursion():
     for n in range(2, 21):
-        assert word(n).letters == word(n - 1).letters + word(n - 2).letters
+        assert word(n) == word(n - 1) + word(n - 2)
 
 
 def test_matches_substitution_pass():
     for n in range(1, 21):
-        assert word(n).letters == substitute(word(n - 1).letters)
+        assert word(n) == substitute(word(n - 1))
 
 
 def test_lengths_and_counts():
     for n in range(21):
         w = word(n)
         assert len(w) == fib(n + 2)
-        assert w.letters.count(U) == fib(n + 1)
-        assert w.letters.count(V) == fib(n)
+        assert w.count(U) == fib(n + 1)
+        assert w.count(V) == fib(n)
 
 
 def test_word_rejects_bad_levels():
@@ -48,14 +48,14 @@ def test_letter_at_examples():
 
 
 def test_letter_at_matches_finite_words():
-    letters = word(24).letters
+    letters = word(24)
     for i in range(1, len(letters) + 1):
         assert letter_at(i) == letters[i - 1]
 
 
 def test_letter_at_deep_position():
     # smallest level holding position 10**6 is 29 (F_31 = 1346269)
-    big = word(29).letters
+    big = word(29)
     i = 10**6
     assert letter_at(i) == big[i - 1]
 
@@ -66,7 +66,7 @@ def test_u_count_examples(i, want):
 
 
 def test_counts_match_prefixes():
-    letters = word(18).letters
+    letters = word(18)
     seen_u = 0
     for i, c in enumerate(letters, 1):
         if c == U:
@@ -78,7 +78,7 @@ def test_counts_match_prefixes():
 def test_position_identities_both_letters():
     # a u at position i is the k-th u with i = u(k); a v is the l-th v with i = v(l)
     for n in range(1, 21):
-        letters = word(n).letters
+        letters = word(n)
         ku = kv = 0
         for i, c in enumerate(letters, 1):
             if c == U:
@@ -98,7 +98,7 @@ def test_parent_position_examples(i, want):
 def test_parent_position_replays_substitution():
     # regenerate each level recording which source position emitted each letter
     for n in range(2, 16):
-        src = word(n - 1).letters
+        src = word(n - 1)
         origins = []
         for pos, c in enumerate(src, 1):
             origins.extend([pos, pos] if c == U else [pos])
@@ -110,10 +110,3 @@ def test_position_validation():
     for fn in (letter_at, u_count, v_count):
         with pytest.raises(ValueError):
             fn(0)
-
-
-def test_word_letter_accessor():
-    w = word(3)
-    assert w.letter(1) == U and w.letter(5) == V
-    with pytest.raises(ValueError):
-        w.letter(6)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -163,6 +165,8 @@ def test_find_sequence_matches_reference_scan():
         t = rng.choice(trees)
         digits = rng.choice((1, 2, 3, 20, 50))
         s = FibSeq(rng.randint(-(10**digits), 10**digits), rng.randint(-(10**digits), 10**digits))
+        if not s.is_zero():
+            assert _row_alignment(s) == _reference_row_alignment(s)
         cap = rng.choice((10, 60, 20 * digits + 200))
         cls = classify(t)
         if cls is TreeClass.POSITIVE_SIDE and s.sign() <= 0 or cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
@@ -466,20 +470,28 @@ def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
         assert calls <= 64, calls
 
 
-def test_find_sequence_thousand_digit_seed_makes_three_u_calls(monkeypatch):
-    # the alignment's check of the row start, the hit test and the witness position:
-    # u(j) is read off the aligned pair, and a hit at the first level in range needs no cutoff margin
-    import fibtree.represent as represent
+def test_find_sequence_thousand_digit_seed_makes_two_u_calls(monkeypatch):
+    # the hit test and the witness position: j and u(j) are read off the aligned pair, and a
+    # hit at the first level in range needs no cutoff margin.  Every fibtree module that binds
+    # wythoff.u gets the counting wrapper, wythoff itself included (u_inverse calls u there).
+    import fibtree
+    from fibtree import wythoff
 
     calls = []
-    real_u = represent.u
-    monkeypatch.setattr(represent, "u", lambda n: calls.append(n) or real_u(n))
+    real_u = wythoff.u
+    modules = [fibtree] + [
+        importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
+    ]
+    for module in modules:
+        if getattr(module, "u", None) is real_u:
+            monkeypatch.setattr(module, "u", lambda n: calls.append(n) or real_u(n))
     rng = random.Random(38)
     for _ in range(6):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
         calls.clear()
         assert find_sequence(T01, s, level_cap=20200).level > 9000
-        assert len(calls) <= 3, len(calls)
+        assert len(calls) <= 2, len(calls)
+        assert _row_alignment(s) == _reference_row_alignment(s)
 
 
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):

@@ -34,9 +34,8 @@ def test_level_interval_anchors():
 def test_level_interval_width_and_pattern():
     for n in range(10):
         ival = level_interval(T01, n)
-        assert ival.width == fib(n + 2) == len(ival.pattern)
-        assert ival.pattern.letters == word(n).letters
-        assert list(ival.labels()) == list(range(ival.lo, ival.hi + 1))
+        assert (ival.n, ival.hi - ival.lo + 1) == (n, T01.width(n))
+        assert T01.width(n) == fib(n + 2) == len(word(n))
 
 
 def test_level_interval_rejects_negative():
@@ -52,7 +51,7 @@ def test_rules_level_zero_and_one():
 def test_rules_level_five_is_the_interval():
     got = build_levels(T01, 5)[5]
     assert [x[0] for x in got] == list(range(-7, 6))
-    assert "".join(x[1] for x in got) == word(5).letters
+    assert "".join(x[1] for x in got) == word(5)
 
 
 def test_rules_cap():
@@ -69,7 +68,7 @@ def test_rules_equal_closed_form_small_grid():
             levels = build_levels(t, 12)
             for n, row in enumerate(levels):
                 assert [x[0] for x in row] == list(range(t.lo(n), t.hi(n) + 1))
-                assert "".join(x[1] for x in row) == word(n).letters
+                assert "".join(x[1] for x in row) == word(n)
 
 
 def test_node_label_worked_example():

@@ -14,17 +14,17 @@ T12 = FibTree(1, 2)
 
 
 def test_array_first_rows():
-    arr = wythoff_array(4, 6)
-    assert arr.rows[0] == (1, 2, 3, 5, 8, 13)
-    assert arr.rows[1] == (4, 7, 11, 18, 29, 47)
-    assert arr.rows[2] == (6, 10, 16, 26, 42, 68)
-    assert arr.rows[3] == (9, 15, 24, 39, 63, 102)
-    assert arr.shape == (4, 6)
+    assert wythoff_array(4, 6) == (
+        (1, 2, 3, 5, 8, 13),
+        (4, 7, 11, 18, 29, 47),
+        (6, 10, 16, 26, 42, 68),
+        (9, 15, 24, 39, 63, 102),
+    )
 
 
 def test_array_row_seeds_are_primitive_pairs():
     arr = wythoff_array(25, 2)
-    for j, row in enumerate(arr.rows, 1):
+    for j, row in enumerate(arr, 1):
         assert row == (u(u(j)), v(u(j)))
 
 
@@ -37,11 +37,11 @@ def test_array_validation():
 
 def test_array_corner_properties():
     arr = wythoff_array(40, 10)
-    flat = [x for row in arr.rows for x in row]
+    flat = [x for row in arr for x in row]
     assert len(set(flat)) == 400
-    for row in arr.rows:
+    for row in arr:
         assert all(row[i] < row[i + 1] for i in range(9))
-    starts = [row[0] for row in arr.rows]
+    starts = [row[0] for row in arr]
     assert all(starts[i] < starts[i + 1] for i in range(39))
     assert set(range(1, 101)) <= set(flat)
 
@@ -149,7 +149,7 @@ def test_primitive_pairs_anchors():
 def test_primitive_pairs_in_plus_tree_are_wythoff_rows():
     # every primitive pair of F[1,2] seeds some array row
     arr = wythoff_array(60, 2)
-    seeds = set(arr.rows)
+    seeds = set(arr)
     for pair, level, pos in primitive_pairs_in_tree(T12, 9):
         assert pair in seeds
 
