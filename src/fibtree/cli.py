@@ -9,9 +9,9 @@ magnitude are emitted as decimal strings so downstream parsers without
 big integers stay safe.  Exit codes: 0 success, 1 domain error, 2 usage
 error, 3 verification failure.  Level n of a tree holds F_(n+2) labels,
 so each flag that sizes levels, depths or word lists has a fixed cap,
-checked before any work; `array` and `hofstadter` refuse a largest value
-past the interpreter's digit limit for integer text, and the three table
-commands refuse a table past a fixed output bound.  The oracles of
+checked before any work, and every table it prints (`array`, `wythoff`,
+`hofstadter`, `tree` as json or dot) is refused past one output bound,
+decided from sizes before the largest value is built.  The oracles of
 `fibtree.verify` load on demand, only for the `verify` subcommand.
 """
 
@@ -70,24 +70,15 @@ def _pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'a,b' with integers, got {text!r}")
 
 
-def _check_digits(index: int, largest, what: str) -> int:
-    """largest(), the largest value of a result (at least F_index), refused past the digits integer text allows.
+def _check_output(numbers: int, index: int, largest, what: str) -> None:
+    """Refuse a table of this many numbers past MAX_OUTPUT_DIGITS digits.
 
-    The limit is the interpreter's digit limit for integer text; when that
-    is off (0, as under -X int_max_str_digits=0), the default limit
-    (4,300) still bounds the work.  F_m >= phi^(m-2) and phi^5 > 10, so
-    F_m has more than `limit` digits once m >= 5*limit + 2: past that
-    index the value is never computed.
+    largest() is the table's largest magnitude, with at least the digits
+    of F_index.  F_m >= phi^(m-2) and phi^5 > 10, so F_m has more than
+    (m-2)//5 digits: a table past the bound at that count is refused
+    before largest() runs, otherwise the digits of largest() are counted.
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if index >= 5 * limit + 2 or (value := largest()) >= 10**limit:
-        raise ValueError(f"{what} pass the {limit}-digit limit of integer text")
-    return value
-
-
-def _check_output(rows: int, per_row: int, largest: int, what: str) -> None:
-    """Refuse a table of rows x per_row numbers, none longer than largest, past MAX_OUTPUT_DIGITS."""
-    if rows * per_row * len(str(abs(largest))) > MAX_OUTPUT_DIGITS:
+    if numbers * ((index - 2) // 5 + 1) > MAX_OUTPUT_DIGITS or numbers * len(str(abs(largest()))) > MAX_OUTPUT_DIGITS:
         raise ValueError(f"{what} pass the {MAX_OUTPUT_DIGITS}-digit output bound")
 
 
@@ -171,7 +162,13 @@ def _tree(args: argparse.Namespace) -> dict | str:
         raise ValueError(f"level must be >= 0, got {levels}")
     t = FibTree(*args.id)
     # One walk for every format: each level's edges once, its letters as one word.
-    return _TREE_FORMATS[args.format](t, [level_interval(t, n) for n in range(levels + 1)])
+    walk = [level_interval(t, n) for n in range(levels + 1)]
+    if args.format != "ascii":
+        # F_(levels+4) - 2 nodes, each a label and a position of at most F_(levels+2)
+        ends = [abs(x) for lv in walk for x in (lv.lo, lv.hi)]
+        what = f"--levels {levels}: nodes"
+        _check_output(2 * (fib(levels + 4) - 2), levels + 2, lambda: max(fib(levels + 2), *ends), what)
+    return _TREE_FORMATS[args.format](t, walk)
 
 
 @_command("array", "top-left corner of the Wythoff array",
@@ -182,8 +179,7 @@ def _array(args: argparse.Namespace) -> dict | str:
         m = u(args.rows)
         last_row = FibSeq(u(m), v(m))
         what = f"--rows {args.rows} --cols {args.cols}: entries"
-        largest = _check_digits(args.cols + 1, lambda: last_row.term(args.cols - 1), what)
-        _check_output(args.rows, args.cols, largest, what)
+        _check_output(args.rows * args.cols, args.cols + 1, lambda: last_row.term(args.cols - 1), what)
     rows = wythoff_array(args.rows, args.cols)
     if args.format == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
@@ -194,9 +190,10 @@ def _array(args: argparse.Namespace) -> dict | str:
 def _wythoff(args: argparse.Namespace) -> dict:
     if args.start > args.end:
         raise ValueError(f"--from {args.start} exceeds --to {args.end}")
-    # v is increasing, so the largest magnitude among n, u(n), v(n) is at an end of the range.
-    largest = max(abs(v(args.start)), abs(v(args.end)))
-    _check_output(args.end - args.start + 1, 3, largest, f"--from {args.start} --to {args.end}: pairs")
+    # v is increasing, so the largest magnitude among n, u(n), v(n) is at an end of the range;
+    # every number has at least the one digit of F_2.
+    what = f"--from {args.start} --to {args.end}: pairs"
+    _check_output(3 * (args.end - args.start + 1), 2, lambda: max(abs(v(args.start)), abs(v(args.end))), what)
     return {"pairs": [{"n": n, "u": _j(u(n)), "v": _j(v(n))} for n in range(args.start, args.end + 1)]}
 
 
@@ -250,9 +247,7 @@ def _hofstadter(args: argparse.Namespace) -> dict:
     n_max = args.levels
     # The last level's top label F_(n_max+2) is the largest; check it before building any level.
     top = max(n_max, 0) + 2
-    what = f"--levels {n_max}: labels"
-    largest = _check_digits(top, lambda: fib(top), what)
-    _check_output(n_max + 1, 3, largest, what)
+    _check_output(3 * (n_max + 1), top, lambda: fib(top), f"--levels {n_max}: labels")
     levels = hofstadter_levels(n_max)
     return {"levels": [{"level": n, "lo": _j(lo), "hi": _j(hi)} for n, (lo, hi) in enumerate(levels)]}
 

@@ -72,16 +72,15 @@ def _word_to(level: int, pos: int) -> MapWord:
 def is_subtree(
     child: FibTree, parent: FibTree, level_cap: int = DEFAULT_SUBTREE_CAP
 ) -> SubtreeWitness | None:
-    """First witness that child sits inside parent, scanning levels 1..cap.
+    """First witness that child sits inside parent, scanning levels 0..cap.
 
     The witness is the first u-node of the parent that carries the
     child's root label c and whose v-child carries its second label d,
     located by `represent.first_witness`: its scan and its shift-lemma
     cutoff end within O(bit length of the labels) levels, whatever the
-    cap.  None means "not found up to the cap".
+    cap; a tree is its own witness at level 0.  None means "not found up
+    to the cap".
     """
-    if child == parent:
-        return SubtreeWitness(0, 1, MapWord())
     found = first_witness(child.a, child.b - child.a, parent, level_cap)
     if found is None:
         return None

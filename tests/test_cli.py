@@ -121,7 +121,8 @@ def test_array_csv(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_array_past_the_digit_limit_exits_1(capsys, fmt):
-    # row 2 reaches 4,301 digits at column 20,574, one past the interpreter's default limit
+    # row 2 reaches 4,301 digits at column 20,574, one past the interpreter's default limit; the output bound
+    # refuses the table first
     code = run(["array", "--rows", "2", "--cols", "20575", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
@@ -131,7 +132,7 @@ def test_array_past_the_digit_limit_exits_1(capsys, fmt):
 
 
 def test_hofstadter_past_the_digit_limit_exits_1(capsys):
-    # level 20,576 tops out at F_20578, the first label with 4,301 digits
+    # level 20,576 tops out at F_20578, the first label with 4,301 digits; the output bound refuses the table first
     code = run(["hofstadter", "--levels", "20576"])
     captured = capsys.readouterr()
     assert code == 1
@@ -144,36 +145,47 @@ PAST_THE_INDEX = [["hofstadter", "--levels", "1000000000"], ["array", "--rows", 
 
 
 @pytest.mark.parametrize("argv", PAST_THE_INDEX)
-def test_digit_limit_decided_from_the_index(capsys, argv):
-    # F_m >= phi^(m-2) > 10^limit once m >= 5*limit + 2: no value is computed
-    start = time.perf_counter()
-    code = run(argv)
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "-digit limit of integer text" in captured.err
-    assert elapsed < 1
+def test_digit_limit_decided_from_the_index(monkeypatch, capsys, argv):
+    # F_m has more than (m-2)//5 digits, so the index alone passes the output bound: no value is computed,
+    # whatever the interpreter's digit limit for integer text (0 lifts it, 640 is its least value)
+    import fibtree.cli
 
-
-@pytest.mark.parametrize("argv", PAST_THE_INDEX)
-def test_digit_limit_off_falls_back_to_the_default(capsys, argv):
-    # limit 0 (-X int_max_str_digits=0) lifts the interpreter's limit; the check keeps the default one
+    calls = []
+    fib = fibtree.cli.fib
+    term = FibSeq.term
+    monkeypatch.setattr(fibtree.cli, "fib", lambda n: calls.append(n) or fib(n))
+    monkeypatch.setattr(FibSeq, "term", lambda self, n: calls.append(n) or term(self, n))
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        test_digit_limit_decided_from_the_index(capsys, argv)
+        for limit in (0, 640, sys.int_info.default_max_str_digits):
+            sys.set_int_max_str_digits(limit)
+            start = time.perf_counter()
+            code = run(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.endswith("-digit output bound\n")
+            assert elapsed < 1
     finally:
         sys.set_int_max_str_digits(old)
+    assert calls == []
+    for within in (["hofstadter", "--levels", "3"], ["array", "--rows", "1", "--cols", "3"]):
+        calls.clear()
+        assert run(within) == 0 and calls  # the wrappers see the largest value of a table within the bound
 
 
-# Each passes the digit check; without the output bound each printed 7-125 MB.
+# Without the output bound each printed 7-125 MB; `tree --levels 25` wrote 28 MB in 2.1 s at 201 MiB,
+# each further level about phi times more, and `tree --id 10^3999,1 --levels 12` 4 MB.
 PAST_THE_OUTPUT_BOUND = [
     ["array", "--rows", "400000", "--cols", "2"],
     ["array", "--rows", "3", "--cols", "20000", "--format", "csv"],
     ["wythoff", "--from", "0", "--to", "300000"],
     ["hofstadter", "--levels", "20575"],
+    ["tree", "--id", "0,1", "--levels", "25"],
+    ["tree", "--id", "0,1", "--levels", "30", "--format", "dot"],
+    ["tree", "--id", f"{10**3999},1", "--levels", "12"],
 ]
 
 
@@ -196,6 +208,7 @@ def test_table_past_the_output_bound_exits_1(capsys, argv):
         (["array", "--rows", "2", "--cols", "5"], 2 * 5 * 2),  # largest entry 29
         (["wythoff", "--from", "-2", "--to", "2"], 5 * 3 * 1),  # largest magnitude |v(-2)| = 6
         (["hofstadter", "--levels", "4"], 5 * 3 * 1),  # largest label 8
+        (["tree", "--id", "100,1", "--levels", "3", "--format", "dot"], 11 * 2 * 3),  # 11 nodes, largest label 102
     ],
 )
 def test_output_bound_counts_rows_numbers_and_digits(monkeypatch, capsys, argv, size):

@@ -5,14 +5,15 @@ its flags.  Pair values are small integers or 4,000-digit ones, and one
 pair in ten is malformed (exit 2).  Each
 flag that sizes levels, depths, rows or columns is drawn from a cheap
 range below its cap or from above the cap, where the command must refuse
-before any work; `array --cols` and `hofstadter --levels` are refused by
-the index alone from 5*limit + 2 on (limit: the interpreter's digit limit
-for integer text, or its default when the limit is off).  `array --rows`
-and the `wythoff` range are drawn small (at most 6 rows, at most 31
-ranks) or past the output bound: so many rows that the table would pass
-it even with one digit per number.  `verify` runs only the `group` suite
-or with a `--max-level` past its cap.  No drawn value asks for work
-without a bound.
+before any work.  Every table is refused past one output bound, decided
+from its sizes: `array --cols` and `hofstadter --levels` past
+`INDEX_PAST_BOUND` pass it by the index of their largest value alone,
+`array --rows` and the `wythoff` range are drawn small (at most 6 rows,
+at most 31 ranks) or with so many rows that the table would pass it even
+with one digit per number, and `tree --levels` is also drawn from 25 to
+30, where the json and dot dumps pass it.  `verify` runs only the
+`group` suite or with a `--max-level` past its cap.  No drawn value asks
+for work without a bound.
 
 Not drawn: the trees F[1 - u(b), b] of the representing strip with
 4,000-digit labels, since 1 - u(b) is none of the drawn values.
@@ -23,15 +24,16 @@ level in range (ROADMAP item 2).
 import contextlib
 import io
 import json
-import sys
+import math
 import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibtree import cli
 
-LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+# Past it, cols * ((cols - 1)//5 + 1) and 3 * (levels + 1) * (levels//5 + 1) pass the output bound.
+INDEX_PAST_BOUND = math.isqrt(5 * cli.MAX_OUTPUT_DIGITS)
 
 SMALL = st.integers(-20, 20)
 HUGE = st.sampled_from([10**3999 + 12345, -(10**3999) - 678, 3 * 10**3999 + 1, -7 * 10**3999])
@@ -47,12 +49,12 @@ def _sizing(cheap_max: int, cap: int) -> st.SearchStrategy[int]:
 
 
 SIZING = {
-    ("tree", "--levels"): _sizing(6, cli.MAX_BUILD_LEVEL),
+    ("tree", "--levels"): st.one_of(_sizing(6, cli.MAX_BUILD_LEVEL), st.integers(25, 30)),
     ("array", "--rows"): _sizing(6, cli.MAX_OUTPUT_DIGITS // 2),  # at least 2 columns
-    ("array", "--cols"): _sizing(12, 5 * LIMIT),
+    ("array", "--cols"): _sizing(12, INDEX_PAST_BOUND),
     ("self-contain", "--depth"): _sizing(60, cli.MAX_SELF_CONTAIN_DEPTH),
     ("lub", "--depth"): _sizing(6, cli.MAX_LUB_DEPTH),
-    ("hofstadter", "--levels"): _sizing(60, 5 * LIMIT - 1),
+    ("hofstadter", "--levels"): _sizing(60, INDEX_PAST_BOUND),
     ("verify", "--max-level"): _sizing(cli.MAX_VERIFY_LEVEL, cli.MAX_VERIFY_LEVEL),
 }
 OVER_VERIFY_CAP = st.integers(cli.MAX_VERIFY_LEVEL + 1, 10**12)
@@ -90,6 +92,9 @@ def test_every_drawn_argv_exits_cleanly():
 
     @settings(derandomize=True, database=None, max_examples=250, deadline=None)
     @given(argvs())
+    # the derandomized draws seldom reach tree --levels 25..30; one dump past the bound and one outside it always run
+    @example(["tree", "--id", "0,1", "--levels", "25", "--format", "json"])
+    @example(["tree", "--id", f"{10**3999 + 12345},{-7 * 10**3999}", "--levels", "30", "--format", "ascii"])
     def case(argv):
         drawn.add(argv[0])
         out, err = io.StringIO(), io.StringIO()

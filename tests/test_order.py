@@ -6,7 +6,7 @@ import pytest
 from fibtree import represent
 from fibtree.fibword import U
 from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib
-from fibtree.order import _inverse_steps, is_subtree, least_upper_bound, self_containment, subtree_at
+from fibtree.order import SubtreeWitness, _inverse_steps, is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
 from fibtree.wythoff import u
 
@@ -26,9 +26,13 @@ def test_is_subtree_anchors():
 
 
 def test_is_subtree_reflexive_witness():
-    w = is_subtree(T01, T01)
-    assert (w.level, w.pos) == (0, 1)
-    assert len(w.word) == 0
+    # the witness scan finds level 0 itself: E_(-1) = b - a - 1 and D = b - a give u-count 1, and u(1) = 1
+    strip = 10**999 + 7
+    trees = [FibTree(a, b) for a in range(-40, 41) for b in range(-40, 41)]
+    trees += [FibTree(1 - u(strip), strip), FibTree(10**3999 + 12345, 3 * 10**3999 + 1), FibTree(-7 * 10**3999, 5)]
+    for t in trees:
+        assert is_subtree(t, t) == is_subtree(t, t, 0) == SubtreeWitness(0, 1, MapWord())
+    assert is_subtree(T01, T01, -1) is None  # not found up to a negative cap, like every other pair
 
 
 def test_witness_word_and_node_are_consistent():
