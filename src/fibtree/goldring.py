@@ -88,22 +88,28 @@ def phi_pow(k: int) -> GoldInt:
     return GoldInt(fib(k - 1), fib(k))
 
 
-def gold_sign(z: GoldInt) -> int:
+def _sign(a: int, b: int) -> int:
     """Sign of the real number a + b*phi, decided with integer arithmetic only.
 
-    Writing 2z = s + t*sqrt(5) with s = 2a + b, t = b, mixed-sign cases
-    reduce to comparing s**2 against 5*t**2; 5*t**2 is never a perfect
-    square for t != 0, so the comparison is never ambiguous.
+    Writing 2(a + b*phi) = s + b*sqrt(5) with s = 2a + b, mixed-sign
+    cases reduce to comparing s**2 against 5*b**2; 5*b**2 is never a
+    perfect square for b != 0, so the comparison is never ambiguous.
+    The searches call it on bare int pairs; `gold_sign` is its form for
+    ring elements.
     """
-    s = 2 * z.a + z.b
-    t = z.b
-    if s >= 0 and t >= 0:
-        return 1 if (s or t) else 0
-    if s <= 0 and t <= 0:
+    s = 2 * a + b
+    if s >= 0 and b >= 0:
+        return 1 if (s or b) else 0
+    if s <= 0 and b <= 0:
         return -1
     if s > 0:
-        return 1 if s * s > 5 * t * t else -1
-    return 1 if 5 * t * t > s * s else -1
+        return 1 if s * s > 5 * b * b else -1
+    return 1 if 5 * b * b > s * s else -1
+
+
+def gold_sign(z: GoldInt) -> int:
+    """Sign of the real number a + b*phi, by `_sign`."""
+    return _sign(z.a, z.b)
 
 
 class Atom(Enum):

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldring import Atom, MapWord
-from .fibword import U, letter_at, u_count
+from .goldring import Atom, MapWord, _fib_pair
 from .represent import first_witness
 from .tree import FibTree
 
@@ -51,21 +50,29 @@ class SubtreeWitness:
 def _word_to(level: int, pos: int) -> MapWord:
     """Map word from the root identity to the u-node at (level, pos).
 
-    Walks upward: a u-node under a u-parent was reached by L from the
-    parent; under a v-parent, by R from the grandparent (v-nodes have
-    u-parents always).  Collected deepest-first, which is exactly the
-    function-composition order the word applies in.
+    Walks top-down by subtree sizes.  Below the root, the subtree of its
+    u-child (an L step) fills the first F_(m+1) positions of level m,
+    and the subtree of the u-child of its v-child (an R step, two levels
+    down) fills the other F_m.  So with r = pos - 1 and m = level: if
+    r < F_(m+1) the step is L and m drops by 1; otherwise it is R, r
+    drops by F_(m+1) and m by 2.  (F_m, F_(m+1)) comes from one
+    `_fib_pair` doubling and is stepped down by subtractions.  The steps
+    come root-first; reversed, they are the function-composition order
+    the word applies in.  The upward walk by u-counts is
+    `verify.word_by_upward_walk`.
     """
     atoms: list[Atom] = []
-    n, q = level, pos
-    while n > 0:
-        k = u_count(q)
-        if letter_at(k) == U:
+    r = pos - 1
+    f, g = _fib_pair(level)  # (F_m, F_(m+1)) with m = level
+    while level > 0:
+        if r < g:
             atoms.append(Atom.L)
-            n, q = n - 1, k
+            level, f, g = level - 1, g - f, f
         else:
             atoms.append(Atom.R)
-            n, q = n - 2, u_count(k)
+            r -= g
+            level, f, g = level - 2, 2 * f - g, g - f
+    atoms.reverse()
     return MapWord(tuple(atoms))
 
 

@@ -27,16 +27,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .goldring import GoldInt, gold_sign
+from .goldring import _fib_pair, _sign
 from .fibword import U
 from .tree import FibTree, u_nodes
 from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u
 
 DEFAULT_LEVEL_CAP = 60
 
-# The shortest skip over out-of-range levels worth four FibSeq.term
-# calls: shorter skips are cheaper to step through by additions.
-_MIN_JUMP = 32
+# The shortest skip over out-of-range levels worth a jump: one cached
+# `_fib_pair` lookup and four multiplications, about 0.7 us against
+# 0.12 us per level stepped by additions (Python 3.11, 2-vCPU host; a
+# cold `_fib_pair` costs about 3.5 us).  Shorter skips are stepped.
+_MIN_JUMP = 8
 
 
 class TreeClass(Enum):
@@ -63,10 +65,10 @@ class Occurrence:
 
 def classify(t: FibTree) -> TreeClass:
     """Exact three-way classification of a + b*phi against (0, phi^3)."""
-    if gold_sign(t.gold()) <= 0:
+    if _sign(t.a, t.b) <= 0:
         return TreeClass.NONPOSITIVE_SIDE
     # a + b*phi >= phi^3 = 1 + 2*phi  iff  (a-1) + (b-2)*phi >= 0
-    if gold_sign(GoldInt(t.a - 1, t.b - 2)) >= 0:
+    if _sign(t.a - 1, t.b - 2) >= 0:
         return TreeClass.POSITIVE_SIDE
     return TreeClass.REPRESENTS_Z
 
@@ -126,16 +128,17 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
     - A half that can only come true and is false at n + 1 is false for
       the next `_steps_below` indices (G = -E with y = 1 - lo, or G = H
       with y = hi).  Those indices fail the range test, so the scan jumps
-      past them, evaluates both edge pairs there with `FibSeq.pair`, and
-      resumes index by index; within 7 indices plus one per 40,000 bits
-      of the bound it reaches the first index in range.  Short jumps are
+      past them, evaluates both edge pairs there from one `_fib_pair`
+      doubling (H from the seed (a, b), E = H - F_(n+2)), and resumes
+      index by index; within 7 indices plus one per 40,000 bits of the
+      bound it reaches the first index in range.  Short jumps are
       stepped instead, so small inputs evaluate nothing extra.
 
     In a RepresentsZ tree E is falling and H rising once settled, so the
     scan never ends and yields every index from its first hit on.
     """
-    edge, top = t.edges(), t.seq()
-    e0, e1, h0, h1 = edge.c, edge.d, top.c, top.d
+    a, b = t.a, t.b
+    e0, e1, h0, h1 = a - 1, b - 2, a, b
     for _ in range(-k):
         e0, e1, h0, h1 = e1 - e0, e0, h1 - h0, h0
     while True:
@@ -152,7 +155,9 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
     )
     if skip > _MIN_JUMP:
         k += skip + 1
-        (e0, e1), (h0, h1) = edge.pair(k), top.pair(k)
+        f, g = _fib_pair(k - 1)  # (F_(k-1), F_k), k > 0
+        h0, h1 = a * f + b * g, a * g + b * (f + g)
+        e0, e1 = h0 - f - 2 * g, h1 - 2 * f - 3 * g
     else:
         k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
     while (e_falls or e0 < lo) and (h_rises or hi <= h0):
@@ -185,8 +190,8 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, i
     no later level can hold the witness.  Otherwise the constant needs no
     test of its own: from the cutoff on, the first level in range hits
     (for D = 0, one of the first two, as the sign of eps alternates).
-    The bounds are exact gold_sign tests.  They hold within O(bit length)
-    levels: the norm |p^2 - pq - q^2| >= 1 of p - q*phi gives
+    The bounds are exact `_sign` tests on int pairs.  They hold within
+    O(bit length) levels: the norm |p^2 - pq - q^2| >= 1 of p - q*phi gives
     min(frac, 1 - frac) >= 1/(1 + sqrt(5)*|D|), while
     |eps_1| <= |E_0|*phi + |E_1|.
 
@@ -214,23 +219,27 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, i
         if not missed:
             missed, margin = True, _cutoff_margin(c, rank)
         if margin is not None:
-            eps = GoldInt(e1, -e0)
-            if gold_sign(margin - eps) > 0 and gold_sign(margin + eps) > 0:
+            # margin -+ eps with eps_n = e1 - e0*phi
+            ma, mb = margin
+            if _sign(ma - e1, mb + e0) > 0 and _sign(ma + e1, mb - e0) > 0:
                 return None
     return None
 
 
-def _cutoff_margin(c: int, rank: int) -> GoldInt | None:
-    """The bound on |eps| below which `first_witness`'s test is a false constant; None for no cutoff."""
+def _cutoff_margin(c: int, rank: int) -> tuple[int, int] | None:
+    """The bound on |eps| below which `first_witness`'s test is a false constant; None for no cutoff.
+
+    The bound x + y*phi comes as the int pair (x, y).
+    """
     if rank:
         ud = u(rank)
         if ud == c:
             return None
         # min(frac, 1 - frac) with frac = rank*phi - u(rank)
-        if gold_sign(GoldInt(-2 * ud - 1, 2 * rank)) < 0:
-            return GoldInt(-ud, rank)
-        return GoldInt(1 + ud, -rank)
-    return None if c in (0, -1) else GoldInt(1, 0)
+        if _sign(-2 * ud - 1, 2 * rank) < 0:
+            return -ud, rank
+        return 1 + ud, -rank
+    return None if c in (0, -1) else (1, 0)
 
 
 def _row_alignment(s: FibSeq) -> tuple[int, int]:
@@ -260,7 +269,7 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     M is the first index of the parity with delta_m > 0 that has
     |delta_0| < phi^(m-1).  `delta_bits` estimates log2|delta_0| within
     2, which places M within 3 steps of two; an exact walk over the
-    parity class with gold_sign tests of delta_m < 1/phi finds it.
+    parity class with `_sign` tests of delta_m < 1/phi finds it.
 
     The walk has proven (t0, t1) = (u(u(j)), v(u(j))), so j reads off
     the pair: t1 - t0 = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1
@@ -270,7 +279,7 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     c, d = s.c, s.d
     bits, _ = delta_bits(c, d)
     m = bits * LOG_PHI_2[0] // LOG_PHI_2[1] + 1
-    if (m % 2 == 0) != (gold_sign(GoldInt(d, -c)) > 0):
+    if (m % 2 == 0) != (_sign(d, -c) > 0):
         m += 1
     t0, t1 = s.pair(m)
     if _below_inverse_phi(t0, t1):
@@ -284,7 +293,7 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
 
 def _below_inverse_phi(t0: int, t1: int) -> bool:
     # t1 - t0*phi < 1/phi = phi - 1
-    return gold_sign(GoldInt(-1 - t1, 1 + t0)) > 0
+    return _sign(-1 - t1, 1 + t0) > 0
 
 
 def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> Occurrence:

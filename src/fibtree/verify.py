@@ -22,7 +22,7 @@ from itertools import product
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
 from .goldring import Atom, GoldInt, MapWord, _apply_atom, fib, gold_sign, phi_pow
-from .order import is_subtree, least_upper_bound, self_containment, subtree_at
+from .order import _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
 from .tree import FibTree, NodeRef, branch_sequence, build_levels, children_labels, node_label, parent_label, u_nodes
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
@@ -361,12 +361,36 @@ def check_lemma_witnesses(
 # ------------------------------------------------------------------ order
 
 
+def word_by_upward_walk(level: int, pos: int) -> MapWord:
+    """Map word from the root identity to the u-node at (level, pos), walking upward.
+
+    A u-node under a u-parent was reached by L from the parent; under a
+    v-parent, by R from the grandparent (v-nodes have u-parents always).
+    The parent of position q sits at position u_count(q) one level up.
+    Collected deepest-first, which is exactly the function-composition
+    order the word applies in.  The library's `order._word_to` walks
+    top-down by subtree sizes instead.
+    """
+    atoms: list[Atom] = []
+    n, q = level, pos
+    while n > 0:
+        k = u_count(q)
+        if letter_at(k) == U:
+            atoms.append(Atom.L)
+            n, q = n - 1, k
+        else:
+            atoms.append(Atom.R)
+            n, q = n - 2, u_count(k)
+    return MapWord(tuple(atoms))
+
+
 def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
     """is_subtree agrees with scanning rule-built levels for the witness node.
 
     The scan itself, `u_nodes`, is first held against the closed forms:
     the u positions of each level, and at each the node label, the parent
-    label and the parent's letter.
+    label and the parent's letter.  The witness word of every u position
+    is held against the upward walk, `word_by_upward_walk`.
     """
     failures = []
     trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
@@ -377,6 +401,10 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
         for pos in range(1, fib(n + 2) + 1)
         if letter_at(pos) == U
     ]
+    for n, pos, _ in positions:
+        got, want = _word_to(n, pos), word_by_upward_walk(n, pos)
+        if got != want:
+            failures.append(_fail("witness-word", f"u-node ({n}, {pos}): word {got}, upward walk {want}"))
     for parent in trees:
         scanned = list(u_nodes(parent, cap))
         closed = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .goldring import GoldInt, fib, gold_sign
+from .goldring import _fib_pair, _sign, fib
 
 
 def u(n: int) -> int:
@@ -60,14 +60,28 @@ class FibSeq:
         return self.c * fib(n - 1) + self.d * fib(n)
 
     def pair(self, n: int) -> tuple[int, int]:
-        return self.term(n), self.term(n + 1)
+        """(term(n), term(n + 1)) from one `_fib_pair` doubling.
+
+        With (f, g) = (F_k, F_(k+1)) and k = |n|: for n >= 0,
+        F_(n-1) = g - f gives (c*(g - f) + d*f, c*f + d*g).  For n < 0,
+        F_(-k) = (-1)^(k+1) F_k turns F_(n-1), F_n, F_(n+1) into
+        sigma*g, -sigma*f, sigma*(g - f) with sigma = (-1)^k, so the pair
+        is sigma*(c*g - d*f, d*(g - f) - c*f).
+        """
+        c, d = self.c, self.d
+        if n >= 0:
+            f, g = _fib_pair(n)
+            return c * (g - f) + d * f, c * f + d * g
+        f, g = _fib_pair(-n)
+        t0, t1 = c * g - d * f, d * (g - f) - c * f
+        return (-t0, -t1) if n & 1 else (t0, t1)
 
     def is_zero(self) -> bool:
         return self.c == 0 and self.d == 0
 
     def sign(self) -> int:
         """+1 when the terms head to +infinity, -1 to -infinity, 0 for the zero seed."""
-        return gold_sign(GoldInt(self.c, self.d))
+        return _sign(self.c, self.d)
 
     def __str__(self) -> str:
         return f"F[{self.c},{self.d}]"

@@ -6,7 +6,7 @@ import pytest
 from fibtree import represent
 from fibtree.fibword import U
 from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib
-from fibtree.order import SubtreeWitness, _inverse_steps, is_subtree, least_upper_bound, self_containment, subtree_at
+from fibtree.order import SubtreeWitness, _inverse_steps, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
 from fibtree.wythoff import u
 
@@ -335,6 +335,75 @@ def test_is_subtree_hit_at_the_first_level_in_range_makes_one_u_call(monkeypatch
                 assert len(calls) == 1, (child, parent, calls)
                 checked += 1
     assert checked > 600, checked
+
+
+@pytest.fixture(scope="module")
+def witnesses() -> list[tuple[int, int]]:
+    """(level, pos) of is_subtree witnesses, and of 2,000 random u-nodes on levels 0..60.
+
+    The witnesses: every +-40 grid tree in three RepresentsZ hosts at cap 60; in a strip tree
+    F[1 - u(b), b] with a 10^3-digit b, twelve planted subtrees and F[5,8] (level 4785); and a
+    10^3-digit rank's pair in F[0,1] (level 4788).
+    """
+    found = set()
+    for parent in (T01, FibTree(-1, 2), FibTree(-60, 38)):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                w = is_subtree(FibTree(a, b), parent, 60)
+                if w is not None:
+                    found.add((w.level, w.pos))
+    b = 10**999 + 7
+    strip = FibTree(1 - u(b), b)
+    rng = random.Random(4790)
+    for _ in range(12):
+        child = subtree_at(strip, MapWord(tuple(rng.choice((Atom.L, Atom.R)) for _ in range(rng.randint(0, 30)))))
+        w = is_subtree(child, strip, 60)
+        found.add((w.level, w.pos))
+    w = is_subtree(FibTree(5, 8), strip, 5000)
+    assert w.level > 4700
+    found.add((w.level, w.pos))
+    rank = 10**1000 + 7
+    w = is_subtree(FibTree(u(rank), u(rank) + rank), T01, 5000)
+    assert w.level > 4700
+    found.add((w.level, w.pos))
+    for _ in range(2000):
+        level = rng.randint(0, 60)
+        found.add((level, u(rng.randint(1, fib(level + 1)))))  # level n holds F_(n+1) u's
+    return sorted(found)
+
+
+def test_witness_word_equals_the_upward_walk(witnesses):
+    from fibtree.verify import word_by_upward_walk
+
+    assert len(witnesses) > 1500
+    for level, pos in witnesses:
+        assert _word_to(level, pos) == word_by_upward_walk(level, pos), (level, pos)
+
+
+def test_witness_word_makes_one_doubling_and_no_beatty_call(monkeypatch, witnesses):
+    # the walk reads subtree sizes off one _fib_pair(level); no u, u_count or letter_at call
+    import importlib
+    import pkgutil
+
+    import fibtree
+    from fibtree import fibword, order, wythoff
+
+    rng = random.Random(4787)
+    deep = [(4787, u(k)) for k in (1, fib(4788), rng.randint(1, fib(4788)))]  # u-nodes: F_4788 u's at level 4787
+    calls = []
+    modules = [fibtree] + [
+        importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
+    ]
+    for real in (wythoff.u, fibword.u_count, fibword.letter_at):
+        for module in modules:
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, lambda n, real=real: calls.append(real.__name__) or real(n))
+    real_fib_pair = order._fib_pair
+    monkeypatch.setattr(order, "_fib_pair", lambda n: calls.append("_fib_pair") or real_fib_pair(n))
+    for level, pos in deep + witnesses:
+        calls.clear()
+        order._word_to(level, pos)
+        assert calls == ["_fib_pair"], (level, pos, calls)
 
 
 def test_self_containment_matches_unpruned_enumeration():

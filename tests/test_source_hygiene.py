@@ -1,7 +1,9 @@
 """The library stays stdlib-only and float-free, and carries no dead imports.
 
 Parses every module under src/fibtree with ast.  Only `verify.py` may use
-`decimal`: its oracles are the one sanctioned approximation of phi.
+`decimal`: its oracles are the one sanctioned approximation of phi.  The
+searches in `represent.py` and `order.py` run on bare ints: they name no
+`GoldInt`.
 """
 
 import ast
@@ -67,3 +69,16 @@ def test_no_unused_imports(path):
                 bound[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(name for name in bound if name not in used) == []
+
+
+@pytest.mark.parametrize("name", ["represent.py", "order.py"])
+def test_searches_build_no_ring_elements(name):
+    tree = _tree(SRC / name)
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "GoldInt"
+        or isinstance(node, ast.Attribute) and node.attr == "GoldInt"
+        or isinstance(node, ast.ImportFrom) and any(alias.name == "GoldInt" for alias in node.names)
+    ]
+    assert named == []

@@ -91,6 +91,14 @@ def test_fibseq_term_matches_seed_and_recursion():
         assert s.term(n + 2) == s.term(n) + s.term(n + 1)
 
 
+@pytest.mark.parametrize("seed", [(2, 1), (0, 1), (-7, 3), (10**999 + 7, -(10**1000) + 3), (-(10**1000) + 1, 10**999 + 9)])
+def test_fibseq_pair_is_two_terms(seed):
+    # one doubling for every index; the negative branch carries the sign (-1)^(k+1) of F_(-k)
+    s = FibSeq(*seed)
+    for n in [*range(-300, 301), 4785, -4785, 47850, -47850]:
+        assert s.pair(n) == (s.term(n), s.term(n + 1)), n
+
+
 @given(st.integers(min_value=-200, max_value=200), st.integers(min_value=-200, max_value=200))
 def test_fibseq_negative_extension(c, d):
     s = FibSeq(c, d)
