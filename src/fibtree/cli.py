@@ -24,11 +24,11 @@ import sys
 
 from . import __version__
 from .algebra import tree_sum
-from .fibword import U, u_count, word
+from .fibword import MAX_WORD_LEVEL, U, u_count, word
 from .goldring import fib
 from .order import DEFAULT_SUBTREE_CAP, is_subtree, least_upper_bound, self_containment
 from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
-from .tree import MAX_BUILD_LEVEL, FibTree, LevelLabeling, level_interval
+from .tree import FibTree, LevelLabeling, level_interval
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
 
@@ -157,7 +157,7 @@ _TREE_FORMATS = {"json": _tree_json, "ascii": _tree_ascii, "dot": _tree_dot}
           _ab("--id"), _int("--levels", 5), _choice("--format", *_TREE_FORMATS))
 def _tree(args: argparse.Namespace) -> dict | str:
     # level n holds F_{n+2} nodes; a dump beyond the cap is unusable
-    levels = _within(args.levels, MAX_BUILD_LEVEL, "--levels", "dump")
+    levels = _within(args.levels, MAX_WORD_LEVEL, "--levels", "dump")
     if levels < 0:
         raise ValueError(f"level must be >= 0, got {levels}")
     t = FibTree(*args.id)

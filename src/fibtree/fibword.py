@@ -13,7 +13,7 @@ from .wythoff import u
 U = "u"
 V = "v"
 
-# Materialization cap: level 30 is about 2.1M letters.
+# Materialization cap of words and rule-built tree levels: level n holds F_{n+2} entries, level 30 about 2.1M.
 MAX_WORD_LEVEL = 30
 
 

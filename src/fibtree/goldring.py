@@ -27,12 +27,21 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return c, d
 
 
+def _fib_signed(n: int) -> tuple[int, int]:
+    """(F_n, F_(n+1)) for any integer n, from one `_fib_pair` doubling.
+
+    The library's one negative-index rule: for k = -n > 0, with
+    (f, g) = (F_k, F_(k+1)), F_(-k) = (-1)^(k+1) f and F_(1-k) = (-1)^k (g - f).
+    """
+    if n >= 0:
+        return _fib_pair(n)
+    f, g = _fib_pair(-n)
+    return (f, f - g) if n & 1 else (-f, g - f)
+
+
 def fib(n: int) -> int:
     """Fibonacci number F_n for any integer n, with F_{-n} = (-1)**(n+1) F_n."""
-    if n >= 0:
-        return _fib_pair(n)[0]
-    f = _fib_pair(-n)[0]
-    return f if n & 1 else -f
+    return _fib_signed(n)[0]
 
 
 @dataclass(frozen=True)
@@ -84,8 +93,8 @@ PHI_CUBED = GoldInt(1, 2)
 
 
 def phi_pow(k: int) -> GoldInt:
-    """phi**k for any integer k; phi is a unit, so negative powers stay in the ring."""
-    return GoldInt(fib(k - 1), fib(k))
+    """phi**k = F_(k-1) + F_k*phi for any integer k; phi is a unit, so negative powers stay in the ring."""
+    return GoldInt(*_fib_signed(k - 1))
 
 
 def _sign(a: int, b: int) -> int:

@@ -27,17 +27,17 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .goldring import _fib_pair, _sign
+from .goldring import _sign
 from .fibword import U
-from .tree import FibTree, u_nodes
+from .tree import FibTree, _edges, u_nodes
 from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u
 
 DEFAULT_LEVEL_CAP = 60
 
-# The shortest skip over out-of-range levels worth a jump: one cached
-# `_fib_pair` lookup and four multiplications, about 0.7 us against
-# 0.12 us per level stepped by additions (Python 3.11, 2-vCPU host; a
-# cold `_fib_pair` costs about 3.5 us).  Shorter skips are stepped.
+# The shortest skip over out-of-range levels worth a jump: one `tree._edges`
+# call on a cached doubling, about 0.47 us against 0.1 us per level stepped
+# by additions (Python 3.11, 2-vCPU host; about 2.6 us on a cold doubling).
+# Shorter skips are stepped.
 _MIN_JUMP = 8
 
 
@@ -128,17 +128,16 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
     - A half that can only come true and is false at n + 1 is false for
       the next `_steps_below` indices (G = -E with y = 1 - lo, or G = H
       with y = hi).  Those indices fail the range test, so the scan jumps
-      past them, evaluates both edge pairs there from one `_fib_pair`
-      doubling (H from the seed (a, b), E = H - F_(n+2)), and resumes
-      index by index; within 7 indices plus one per 40,000 bits of the
-      bound it reaches the first index in range.  Short jumps are
-      stepped instead, so small inputs evaluate nothing extra.
+      past them, evaluates both edge pairs there by one `tree._edges`
+      call, and resumes index by index; within 7 indices plus one per
+      40,000 bits of the bound it reaches the first index in range.
+      Short jumps are stepped instead, so small inputs evaluate nothing
+      extra.
 
     In a RepresentsZ tree E is falling and H rising once settled, so the
     scan never ends and yields every index from its first hit on.
     """
-    a, b = t.a, t.b
-    e0, e1, h0, h1 = a - 1, b - 2, a, b
+    e0, e1, h0, h1 = t.a - 1, t.b - 2, t.a, t.b
     for _ in range(-k):
         e0, e1, h0, h1 = e1 - e0, e0, h1 - h0, h0
     while True:
@@ -155,9 +154,7 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
     )
     if skip > _MIN_JUMP:
         k += skip + 1
-        f, g = _fib_pair(k - 1)  # (F_(k-1), F_k), k > 0
-        h0, h1 = a * f + b * g, a * g + b * (f + g)
-        e0, e1 = h0 - f - 2 * g, h1 - 2 * f - 3 * g
+        e0, h0, e1, h1 = _edges(t, k)
     else:
         k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
     while (e_falls or e0 < lo) and (h_rises or hi <= h0):
@@ -242,8 +239,8 @@ def _cutoff_margin(c: int, rank: int) -> tuple[int, int] | None:
     return None if c in (0, -1) else (1, 0)
 
 
-def _row_alignment(s: FibSeq) -> tuple[int, int]:
-    """(j, shift) with s.pair(shift) == (u(u(j)), v(u(j))), j over all of Z.
+def _row_alignment(s: FibSeq) -> tuple[int, tuple[int, int]]:
+    """(shift, pair) with pair = s.pair(shift) == (u(u(j)), v(u(j))), for the row j of s in Z.
 
     Let delta_m = t_(m+1) - t_m*phi for the terms t of s; it satisfies
     delta_(m+1) = (1 - phi)*delta_m, so delta_m = delta_0*(-1/phi)^m.
@@ -271,10 +268,10 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     2, which places M within 3 steps of two; an exact walk over the
     parity class with `_sign` tests of delta_m < 1/phi finds it.
 
-    The walk has proven (t0, t1) = (u(u(j)), v(u(j))), so j reads off
-    the pair: t1 - t0 = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1
-    (the `v-from-uu` identity that `verify.check_wythoff_identities`
-    checks) gives j = 2*t0 + 1 - t1, with no u call.
+    The walk has proven pair = (t0, t1) = (u(u(j)), v(u(j))), so j reads
+    off it: t1 - t0 = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1 (the
+    `v-from-uu` identity that `verify.check_wythoff_identities` checks)
+    gives j = 2*t0 + 1 - t1, with no u call.
     """
     c, d = s.c, s.d
     bits, _ = delta_bits(c, d)
@@ -288,7 +285,7 @@ def _row_alignment(s: FibSeq) -> tuple[int, int]:
     else:
         while not _below_inverse_phi(t0, t1):
             m, t0, t1 = m + 2, t0 + t1, t0 + 2 * t1
-    return 2 * t0 + 1 - t1, m
+    return m, (t0, t1)
 
 
 def _below_inverse_phi(t0: int, t1: int) -> bool:
@@ -305,9 +302,10 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     v(j) = u(j) + j has the u-child u(u(j)) = v(j) - 1, a u-node under a
     u-node, and that child's v-child carries u(j) + u(u(j)) = v(u(j)).
     So the search is `first_witness(u(j), j, ...)` one level up, the
-    same scan and cutoff that `order.is_subtree` runs, with u(j) read
-    off the aligned pair as v(u(j)) - u(u(j)); the zero target is the
-    subtree F[0,1], whose root's u-child carries 0 and has the v-child 0.
+    same scan and cutoff that `order.is_subtree` runs, with u(j) = t1 - t0
+    and j = 2*t0 + 1 - t1 read off the aligned pair (t0, t1).  The zero
+    target is the subtree F[0,1], whose root's u-child carries 0 and has
+    the v-child 0: the same formulas read it off the pair (0, 0).
     A hit at the first level in range costs two u calls: the scan's
     test and the witness position.
 
@@ -325,16 +323,14 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
     if cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
-    rank, shift = (1, 0) if s.is_zero() else _row_alignment(s)
-    pair = s.pair(shift)
-    # pair[1] - pair[0] is u(j), and 0 for the zero target
-    found = first_witness(pair[1] - pair[0], rank, t, level_cap - 1)
+    shift, (t0, t1) = (0, (0, 0)) if s.is_zero() else _row_alignment(s)
+    found = first_witness(t1 - t0, 2 * t0 + 1 - t1, t, level_cap - 1)
     if found is None:
         raise ValueError(
             f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
         )
     level, pos = found
-    return Occurrence(level + 1, u(pos), pair, shift, True)
+    return Occurrence(level + 1, u(pos), (t0, t1), shift, True)
 
 
 def _equivalent(s1: FibSeq, s2: FibSeq) -> bool:

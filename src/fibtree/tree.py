@@ -3,14 +3,15 @@
 A tree is identified by two integers: root label a, and b the label of
 the root's v-child.  Level n then carries exactly the consecutive
 integers from lo(n) to hi(n) = lo(n) + F_{n+2} - 1.  Both level edges
-follow the Fibonacci recursion: `seq()` gives hi from (a, b), and
-`edges()` gives lo(n) - 1 = hi(n) - F_{n+2} from (a - 1, b - 2).  Every
-node query here has one closed form, O(1) in big-int operations: the
-node at position pos of level n is labeled lo(n) + pos - 1 and lettered
-like position pos of the infinite Fibonacci word.  `build_levels`
-applies the three child labeling rules literally, and `u_nodes` walks
-its u-nodes; they are the brute-force route that the occurrence counts
-and the `verify` suites compare the closed forms against.
+follow the Fibonacci recursion: H_n = hi(n) is seeded by (a, b), and
+E_n = lo(n) - 1 = H_n - F_{n+2} by (a - 1, b - 2).  `_edges` evaluates
+both at once, and every node query here reads its closed form off that
+one evaluation, O(1) in big-int operations: the node at position pos of
+level n is labeled lo(n) + pos - 1 and lettered like position pos of
+the infinite Fibonacci word.  `build_levels` applies the three child
+labeling rules literally, and `u_nodes` walks its u-nodes; they are the
+brute-force route that the occurrence counts and the `verify` suites
+compare the closed forms against.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .goldring import GoldInt, fib
-from .fibword import U, V, letter_at, u_count
-from .wythoff import FibSeq
-
-# Rule-by-rule construction cap: level n holds F_{n+2} nodes.
-MAX_BUILD_LEVEL = 30
+from .goldring import GoldInt, _fib_signed
+from .fibword import MAX_WORD_LEVEL, U, V, letter_at, u_count
 
 # One rules-built node: (label, letter, 1-based parent position or None).
 LevelNode = tuple[int, str, int | None]
@@ -39,27 +36,27 @@ class FibTree:
     def gold(self) -> GoldInt:
         return GoldInt(self.a, self.b)
 
-    def seq(self) -> FibSeq:
-        """Rightmost labels per level, as a Fibonacci sequence."""
-        return FibSeq(self.a, self.b)
-
-    def edges(self) -> FibSeq:
-        """Left level edges lo(n) - 1, as a Fibonacci sequence."""
-        return FibSeq(self.a - 1, self.b - 2)
-
     def hi(self, n: int) -> int:
         """Rightmost label at level n."""
-        return self.seq().term(n)
+        return _edges(self, n)[1]
 
     def lo(self, n: int) -> int:
         """Leftmost label at level n."""
-        return self.edges().term(n) + 1
-
-    def width(self, n: int) -> int:
-        return fib(n + 2)
+        return _edges(self, n)[0] + 1
 
     def __str__(self) -> str:
         return f"F[{self.a},{self.b}]"
+
+
+def _edges(t: FibTree, n: int) -> tuple[int, int, int, int]:
+    """(E_n, H_n, E_(n+1), H_(n+1)) with E_n = lo(n) - 1 and H_n = hi(n), any integer n.
+
+    From one evaluation (f, g) = (F_n, F_(n+1)): H_n = a*F_(n-1) + b*F_n,
+    and each E is its H less the level's width, E_n = H_n - F_(n+2).
+    """
+    f, g = _fib_signed(n)
+    h0, h1 = t.a * (g - f) + t.b * f, t.a * f + t.b * g
+    return h0 - f - g, h0, h1 - f - 2 * g, h1
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,8 @@ def level_interval(t: FibTree, n: int) -> LevelLabeling:
     """The interval of consecutive labels at level n."""
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    return LevelLabeling(n, t.lo(n), t.hi(n))
+    e, h, _, _ = _edges(t, n)
+    return LevelLabeling(n, e + 1, h)
 
 
 def build_levels(t: FibTree, n: int) -> list[list[LevelNode]]:
@@ -92,12 +90,12 @@ def build_levels(t: FibTree, n: int) -> list[list[LevelNode]]:
     Rules: the root (labeled a) gets children labeled b-1 (u) and b (v);
     a u-node labeled y under a parent labeled x gets children x+y-1 (u)
     and x+y (v); a v-node labeled t under z gets the single child z+t (u).
-    An n past MAX_BUILD_LEVEL raises.
+    An n past MAX_WORD_LEVEL raises.
     """
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    if n > MAX_BUILD_LEVEL:
-        raise ValueError(f"level {n} exceeds build cap {MAX_BUILD_LEVEL}")
+    if n > MAX_WORD_LEVEL:
+        raise ValueError(f"level {n} exceeds build cap {MAX_WORD_LEVEL}")
     levels: list[list[LevelNode]] = [[(t.a, U, None)]]
     if n == 0:
         return levels
@@ -123,7 +121,7 @@ def u_nodes(t: FibTree, n: int) -> Iterator[tuple[int, int, int, int, str]]:
     Read off the rule-built levels, level by level and left to right.
     A u-node under a u-node roots a primitive branch, seeded by (label,
     parent label + label).  Built by `build_levels`, so n past
-    MAX_BUILD_LEVEL raises.
+    MAX_WORD_LEVEL raises.
     """
     levels = build_levels(t, n)
     for level in range(1, n + 1):
@@ -134,13 +132,15 @@ def u_nodes(t: FibTree, n: int) -> Iterator[tuple[int, int, int, int, str]]:
                 yield level, pos, label, parent, parent_letter
 
 
-def _check_ref(t: FibTree, ref: NodeRef) -> None:
+def _check_ref(t: FibTree, ref: NodeRef) -> tuple[int, int, int, int]:
+    """`_edges` at the node's level, once the node is known to exist there."""
     if ref.level < 0:
         raise ValueError(f"level must be >= 0, got {ref.level}")
-    if not 1 <= ref.pos <= t.width(ref.level):
-        raise ValueError(
-            f"position {ref.pos} outside 1..{t.width(ref.level)} at level {ref.level}"
-        )
+    edges = _edges(t, ref.level)
+    width = edges[1] - edges[0]  # F_(level+2)
+    if not 1 <= ref.pos <= width:
+        raise ValueError(f"position {ref.pos} outside 1..{width} at level {ref.level}")
+    return edges
 
 
 def node_label(t: FibTree, ref: NodeRef) -> tuple[int, str]:
@@ -152,25 +152,23 @@ def node_label(t: FibTree, ref: NodeRef) -> tuple[int, str]:
     and pos == v(v_count(pos)) at v-nodes, an identity of positions alone
     that `verify.check_consecutive_labels` checks.
     """
-    _check_ref(t, ref)
-    return t.lo(ref.level) + ref.pos - 1, letter_at(ref.pos)
+    return _check_ref(t, ref)[0] + ref.pos, letter_at(ref.pos)
 
 
 def parent_label(t: FibTree, ref: NodeRef) -> int:
     """Label of the parent node: lo(level-1) - 1 + inclusive u-count at pos."""
-    _check_ref(t, ref)
+    e0, _, e1, _ = _check_ref(t, ref)
     if ref.level == 0:
         raise ValueError("root has no parent")
-    return t.lo(ref.level - 1) - 1 + u_count(ref.pos)
+    return e1 - e0 + u_count(ref.pos)  # lo(level-1) - 1 = E_(level+1) - E_level
 
 
 def children_labels(t: FibTree, ref: NodeRef) -> list[tuple[int, str]]:
     """Labels and letters of the node's children, by the labeling rules."""
-    label, letter = node_label(t, ref)
-    if ref.level == 0:
-        return [(t.b - 1, U), (t.b, V)]
-    x = parent_label(t, ref)
-    if letter == U:
+    e0, _, e1, _ = _check_ref(t, ref)
+    # x is parent_label's formula; at the root it reads b - a, and the u-node rule gives b - 1, b
+    label, x = e0 + ref.pos, e1 - e0 + u_count(ref.pos)
+    if letter_at(ref.pos) == U:
         return [(x + label - 1, U), (x + label, V)]
     return [(x + label, U)]
 

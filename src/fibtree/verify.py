@@ -230,11 +230,16 @@ def check_classification() -> list[dict]:
     for t, want in anchors:
         if classify(t) is not want:
             failures.append(_fail("classify", f"{t} -> {classify(t)}, want {want}"))
-    # Boundary trees sit exactly on the defining equalities.
-    if gold_sign(FibTree(0, 0).gold()) != 0:
-        failures.append(_fail("classify-boundary", "F[0,0] not on the zero boundary"))
-    if gold_sign(GoldInt(1 - 1, 2 - 2)) != 0:
-        failures.append(_fail("classify-boundary", "F[1,2] not on the phi^3 boundary"))
+    # Both boundaries, a + b*phi = 0 at F[0,0] and = phi^3 at F[1,2], against the decimal oracle.
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            low, high = gold_sign_oracle(GoldInt(a, b)), gold_sign_oracle(GoldInt(a - 1, b - 2))
+            if low <= 0:
+                want = TreeClass.NONPOSITIVE_SIDE
+            else:
+                want = TreeClass.POSITIVE_SIDE if high >= 0 else TreeClass.REPRESENTS_Z
+            if classify(FibTree(a, b)) is not want:
+                failures.append(_fail("classify-grid", f"F[{a},{b}] -> {classify(FibTree(a, b))}, want {want}"))
     return failures
 
 
@@ -570,7 +575,7 @@ def check_hofstadter(levels: int = 10, g_max: int = 10**4) -> list[dict]:
     for n in range(1, g_max + 1):
         g = recursion[n]
         m = 1
-        while t.width(m) < n:
+        while fib(m + 2) < n:
             m += 1
         for level in (m, m + 1):
             if parent_label(t, NodeRef(level, n)) != g:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .goldring import _fib_pair, _sign, fib
+from .goldring import _fib_signed, _sign
 
 
 def u(n: int) -> int:
@@ -57,24 +57,12 @@ class FibSeq:
 
     def term(self, n: int) -> int:
         """Term at any integer index: c*F_{n-1} + d*F_n."""
-        return self.c * fib(n - 1) + self.d * fib(n)
+        return self.pair(n)[0]
 
     def pair(self, n: int) -> tuple[int, int]:
-        """(term(n), term(n + 1)) from one `_fib_pair` doubling.
-
-        With (f, g) = (F_k, F_(k+1)) and k = |n|: for n >= 0,
-        F_(n-1) = g - f gives (c*(g - f) + d*f, c*f + d*g).  For n < 0,
-        F_(-k) = (-1)^(k+1) F_k turns F_(n-1), F_n, F_(n+1) into
-        sigma*g, -sigma*f, sigma*(g - f) with sigma = (-1)^k, so the pair
-        is sigma*(c*g - d*f, d*(g - f) - c*f).
-        """
-        c, d = self.c, self.d
-        if n >= 0:
-            f, g = _fib_pair(n)
-            return c * (g - f) + d * f, c * f + d * g
-        f, g = _fib_pair(-n)
-        t0, t1 = c * g - d * f, d * (g - f) - c * f
-        return (-t0, -t1) if n & 1 else (t0, t1)
+        """(term(n), term(n + 1)) from one `_fib_signed` evaluation (f, g) = (F_n, F_(n+1))."""
+        f, g = _fib_signed(n)
+        return self.c * (g - f) + self.d * f, self.c * f + self.d * g
 
     def is_zero(self) -> bool:
         return self.c == 0 and self.d == 0

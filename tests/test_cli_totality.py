@@ -53,7 +53,7 @@ def _sizing(cheap_max: int, cap: int) -> st.SearchStrategy[int]:
 
 
 SIZING = {
-    ("tree", "--levels"): st.one_of(_sizing(6, cli.MAX_BUILD_LEVEL), st.integers(25, 30)),
+    ("tree", "--levels"): st.one_of(_sizing(6, cli.MAX_WORD_LEVEL), st.integers(25, 30)),
     ("array", "--rows"): _sizing(6, cli.MAX_OUTPUT_DIGITS // 2),  # at least 2 columns
     ("array", "--cols"): _sizing(12, INDEX_PAST_BOUND),
     ("self-contain", "--depth"): _sizing(60, cli.MAX_SELF_CONTAIN_DEPTH),

@@ -93,23 +93,24 @@ def _reference_interval_level(t, lo, hi):
 
 
 def _reference_row_alignment(s):
-    """(j, shift) by a plain pair scan from just before the reference index."""
+    """(shift, pair) of the row start by a plain pair scan from just before the reference index."""
     m = reference_index_scan(s) - 3
     c, d = s.pair(m)
     for _ in range(3 * max(abs(s.c), abs(s.d)).bit_length() + 8):
         if u(d - c) == c and u_inverse(d - c) is not None:
-            return u_inverse(d - c), m
+            return m, (c, d)
         c, d, m = d, c + d, m + 1
     raise RuntimeError(f"no row alignment for {s}")
 
 
 def _reference_find_sequence(t, s, cap):
     """The level scan with every edge term and F_n rebuilt through fib()."""
-    edge = t.edges()
+    edge = FibSeq(t.a - 1, t.b - 2)
     if s.is_zero():
         target_u, j, shift = 0, None, 0
     else:
-        j, shift = _reference_row_alignment(s)
+        shift, (c, d) = _reference_row_alignment(s)
+        j = u_inverse(d - c)
         target_u = u(j)
     for n in range(1, cap + 1):
         i = (1 if j is None else j) - edge.term(n - 2)
@@ -253,7 +254,8 @@ def test_find_sequence_is_the_row_subtree_one_level_down():
                 if s.is_zero():
                     row = FibTree(0, 1)
                 else:
-                    j, _ = _row_alignment(s)
+                    _, (t0, t1) = _row_alignment(s)
+                    j = u_inverse(t1 - t0)
                     row = FibTree(u(j), v(j))
                 occ = find_sequence(t, s)
                 w = is_subtree(row, t, level_cap=occ.level)
@@ -495,21 +497,16 @@ def test_find_sequence_thousand_digit_seed_makes_two_u_calls(monkeypatch):
 
 
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
-    # the scan jumps past the 10^4 levels out of range: at least one doubling, and few
+    # the scan jumps past the 10^4 levels out of range: one evaluation of the level edges
     import fibtree.represent as represent
 
-    calls = 0
-    real_fib_pair = represent._fib_pair
-
-    def counting_fib_pair(n):
-        nonlocal calls
-        calls += 1
-        return real_fib_pair(n)
-
-    monkeypatch.setattr(represent, "_fib_pair", counting_fib_pair)
+    calls = []
+    real_edges = represent._edges
+    monkeypatch.setattr(represent, "_edges", lambda t, n: calls.append(n) or real_edges(t, n))
     rng = random.Random(37)
     for t in (T01, FibTree(-1, 2), FibTree(-60, 38)):
-        calls = 0
+        calls.clear()
         lo, hi = -rng.randint(10**2199, 10**2200), rng.randint(10**2199, 10**2200)
-        assert find_interval_level(t, lo, hi) > 10_000
-        assert 1 <= calls <= 64, calls
+        level = find_interval_level(t, lo, hi)
+        assert level > 10_000
+        assert len(calls) == 1 and level - calls[0] < 20, (level, calls)

@@ -1,5 +1,8 @@
 """The library stays stdlib-only and float-free, and carries no dead imports.
 
+`fibtree.__version__` and the version in pyproject.toml are written twice and
+must agree.
+
 Parses every module under src/fibtree with ast.  Only `verify.py` may use
 `decimal`: its oracles are the one sanctioned approximation of phi.  The
 searches in `represent.py` and `order.py` run on bare ints: they name no
@@ -8,9 +11,12 @@ searches in `represent.py` and `order.py` run on bare ints: they name no
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
+
+import fibtree
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fibtree"
 MODULES = sorted(SRC.glob("*.py"))
@@ -29,6 +35,13 @@ def _imported_modules(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             out.append(node.module.split(".")[0])
     return out
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^\[project\]$[^\[]*?^version = "([^"]*)"$', text, re.M)
+    assert match is not None and match.group(1) == fibtree.__version__
 
 
 def test_modules_found():

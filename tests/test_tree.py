@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from fibtree.fibword import U, V, letter_at, u_count, v_count, word
-from fibtree.goldring import fib
-from fibtree.wythoff import u, v
+from fibtree.fibword import MAX_WORD_LEVEL, U, V, letter_at, u_count, v_count, word
+from fibtree.goldring import _fib_pair, fib, phi_pow
+from fibtree.wythoff import FibSeq, u, v
 from fibtree.tree import (
-    MAX_BUILD_LEVEL,
     FibTree,
     NodeRef,
     branch_sequence,
@@ -34,8 +33,8 @@ def test_level_interval_anchors():
 def test_level_interval_width_and_pattern():
     for n in range(10):
         ival = level_interval(T01, n)
-        assert (ival.n, ival.hi - ival.lo + 1) == (n, T01.width(n))
-        assert T01.width(n) == fib(n + 2) == len(word(n))
+        assert (ival.n, ival.hi - ival.lo + 1) == (n, fib(n + 2))
+        assert fib(n + 2) == len(word(n))
 
 
 def test_level_interval_rejects_negative():
@@ -56,9 +55,9 @@ def test_rules_level_five_is_the_interval():
 
 def test_rules_cap():
     with pytest.raises(ValueError, match="cap"):
-        build_levels(T01, MAX_BUILD_LEVEL + 1)
+        build_levels(T01, MAX_WORD_LEVEL + 1)
     with pytest.raises(ValueError, match="cap"):
-        next(u_nodes(T01, MAX_BUILD_LEVEL + 1))
+        next(u_nodes(T01, MAX_WORD_LEVEL + 1))
 
 
 def test_rules_equal_closed_form_small_grid():
@@ -111,7 +110,7 @@ def test_u_nodes_match_closed_forms():
         want = [
             (n, pos, node_label(t, NodeRef(n, pos))[0], parent_label(t, NodeRef(n, pos)), letter_at(u_count(pos)))
             for n in range(1, 13)
-            for pos in range(1, t.width(n) + 1)
+            for pos in range(1, fib(n + 2) + 1)
             if letter_at(pos) == U
         ]
         assert got == want
@@ -196,7 +195,7 @@ def test_node_label_matches_wythoff_route_on_deep_levels():
     rng = random.Random(4785)
     for t in (T01, FibTree(-7, 12)):
         for n in (120, 4785):
-            lo, width = t.lo(n), t.width(n)
+            lo, width = t.lo(n), fib(n + 2)
             positions = list(range(1, 40)) + list(range(width - 40, width + 1))
             positions += [rng.randint(1, width) for _ in range(200)]
             for pos in positions:
@@ -205,3 +204,31 @@ def test_node_label_matches_wythoff_route_on_deep_levels():
                     assert label == lo - 1 + u(u_count(pos))
                 else:
                     assert label == lo - 1 + v(v_count(pos))
+
+
+DEEP = 150_001
+T_DEEP = FibTree(-7, 12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: node_label(T_DEEP, NodeRef(DEEP, 5)),
+        lambda: parent_label(T_DEEP, NodeRef(DEEP, 5)),
+        lambda: children_labels(T_DEEP, NodeRef(DEEP, 5)),
+        lambda: level_interval(T_DEEP, DEEP),
+        lambda: FibSeq(-7, 12).term(DEEP),
+        lambda: FibSeq(-7, 12).term(-DEEP),
+        lambda: phi_pow(DEEP),
+        lambda: phi_pow(-DEEP),
+    ],
+    ids=["node_label", "parent_label", "children_labels", "level_interval", "term", "term-neg", "phi_pow", "phi_pow-neg"],
+)
+def test_deep_query_costs_one_doubling_chain(call):
+    # each query evaluates its Fibonacci terms once: no more cached doublings than F_DEEP alone needs
+    _fib_pair.cache_clear()
+    _fib_pair(DEEP)
+    chain = _fib_pair.cache_info().currsize
+    _fib_pair.cache_clear()
+    call()
+    assert _fib_pair.cache_info().currsize <= chain

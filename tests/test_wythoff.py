@@ -80,7 +80,8 @@ def test_complementarity_up_to_100k():
 )
 def test_primitive_rank(pair, want):
     # a pair is primitive of rank j in Z* when it is the row start (u(u(j)), v(u(j)))
-    j, shift = _row_alignment(FibSeq(*pair))
+    shift, _ = _row_alignment(FibSeq(*pair))
+    j = u_inverse(pair[1] - pair[0])
     assert (j if shift == 0 and j != 0 else None) == want
 
 
