@@ -7,12 +7,14 @@ canonically sorted), or a finished text (tree dumps as ascii or dot, the
 array as csv), which `run` prints as it is.  Integers beyond 53-bit
 magnitude are emitted as decimal strings so downstream parsers without
 big integers stay safe.  Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 verification failure.  Level n of a tree holds F_(n+2) labels,
-so each flag that sizes levels, depths or word lists has a fixed cap,
-checked before any work, and every table it prints (`array`, `wythoff`,
-`hofstadter`, `tree` as json or dot) is refused past one output bound,
-decided from sizes before the largest value is built.  The oracles of
-`fibtree.verify` load on demand, only for the `verify` subcommand.
+error, 3 verification failure; a result integer past the interpreter's
+limit for integer text is a domain error that names the subcommand's
+flags.  Level n of a tree holds F_(n+2) labels, so each flag that sizes
+levels, depths or word lists has a fixed cap, checked before any work,
+and every table it prints (`array`, `wythoff`, `hofstadter`, `tree` as
+json or dot) is refused past one output bound, decided from sizes before
+the largest value is built.  The oracles of `fibtree.verify` load on
+demand, only for the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -303,6 +305,11 @@ def run(argv: list[str]) -> int:
     try:
         result = args.handler(args)
     except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            # The interpreter refused to write a result's integer as text: name the flags that asked for it.
+            flags = " ".join(flag for flag, _ in _COMMANDS[args.command][1])
+            limit = sys.get_int_max_str_digits()
+            exc = f"{args.command} {flags}: an integer of the result passes the {limit}-digit limit for integer text"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(result, str):

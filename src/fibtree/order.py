@@ -8,13 +8,15 @@ R to the first right subtree (two levels down).
 
 `is_subtree` costs what the bit length of its inputs asks, not what the
 cap allows: it runs the witness scan that `represent.find_sequence`
-runs too, `represent.first_witness`, which steps the level edges by
+runs too, `represent.first_witness`, which starts at the first level
+where the shift lemma lets the child sit, steps the level edges by
 additions, jumps past the levels out of range and stops once the
 shift-lemma cutoff or the range test shows that no later level can hold
-the child.  A subtree miss (None) reads "not found up to the cap", and
-it takes O(bit length) levels to establish.  `self_containment` is the
-theorem itself: only F[1,2] and F[0,0] contain themselves, by the
-powers of L and of R.
+the child; it runs no Beatty floor, and neither does the witness word.
+A subtree miss (None) reads "not found up to the cap", and it takes
+O(bit length) levels to establish.  `self_containment` is the theorem
+itself: only F[1,2] and F[0,0] contain themselves, by the powers of L
+and of R.
 
 `least_upper_bound` is the one search that grows with 2^depth: it
 enumerates the inverse-map ancestors of both trees, up to 2^(r+1) bare
@@ -83,10 +85,10 @@ def is_subtree(
 
     The witness is the first u-node of the parent that carries the
     child's root label c and whose v-child carries its second label d,
-    located by `represent.first_witness`: its scan and its shift-lemma
-    cutoff end within O(bit length of the labels) levels, whatever the
-    cap; a tree is its own witness at level 0.  None means "not found up
-    to the cap".
+    located by `represent.first_witness`: its scan starts where the
+    shift lemma lets the child sit and ends within O(bit length of the
+    labels) levels of there, whatever the cap; a tree is its own witness
+    at level 0.  None means "not found up to the cap".
     """
     found = first_witness(child.a, child.b - child.a, parent, level_cap)
     if found is None:

@@ -13,7 +13,10 @@ its seed, and the level scans step the level edges by additions only
 until the edges settle, then jump to within a few levels of the first
 level whose interval can hold the answer.  A sequence sits in a tree as
 a copy of its row's subtree, so `find_sequence` and `order.is_subtree`
-share one witness scan, `first_witness`, with one shift-lemma cutoff.
+share one witness scan, `first_witness`.  By the shift lemma one fixed
+interval decides that scan: the level's hit, the cutoff past which no
+level can hit, and the level where a hit first becomes possible, found
+from bit lengths, so the scan runs no Beatty floor.
 A located branch is fixed by its pair, so the searches return it without
 replaying it; the replay is `verify.check_find_sequence`, and
 `count_occurrences` is the brute-force count over rule-built levels.
@@ -110,16 +113,18 @@ def _steps_below(g0: int, g1: int, y: int) -> int:
 
 
 def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, int]]:
-    """Every index n >= k with E_n < lo and hi <= H_n, in order, as (n, E_n, E_(n+1)); k <= 0.
+    """Every index n >= k with E_n < lo and hi <= H_n, in order, as (n, E_n, E_(n+1)).
 
     E_n = lo(n) - 1 and H_n = hi(n) are the level edges; both follow the
-    Fibonacci recursion, so each index costs a few additions.  The scan
-    goes index by index until both edge pairs are settled: a pair
-    (G_n, G_(n+1)) with both terms >= 0 (rising) or both <= 0 (falling;
-    E = 0 counts as rising, H = 0 as falling) makes G monotone from n + 1
-    on, in that direction.  A nonzero Fibonacci sequence settles within
-    O(bit length) indices of its seed.  From then on each half of the
-    range test is monotone in the index:
+    Fibonacci recursion, so each index costs a few additions.  A start
+    k <= 0 steps back from the seeds; a start past 0 evaluates the edges
+    there by one `tree._edges` call.  The scan goes index by index from
+    k until both edge pairs are settled: a pair (G_n, G_(n+1)) with both
+    terms >= 0 (rising) or both <= 0 (falling; E = 0 counts as rising,
+    H = 0 as falling) makes G monotone from n + 1 on, in that direction.
+    A nonzero Fibonacci sequence settles within O(bit length) indices of
+    its seed.  From then on each half of the range test is monotone in
+    the index:
 
     - E_n < lo fails forever once it fails for rising E, and holds
       forever once it holds for falling E; hi <= H_n likewise with the
@@ -137,9 +142,12 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
     In a RepresentsZ tree E is falling and H rising once settled, so the
     scan never ends and yields every index from its first hit on.
     """
-    e0, e1, h0, h1 = t.a - 1, t.b - 2, t.a, t.b
-    for _ in range(-k):
-        e0, e1, h0, h1 = e1 - e0, e0, h1 - h0, h0
+    if k > 0:
+        e0, h0, e1, h1 = _edges(t, k)
+    else:
+        e0, e1, h0, h1 = t.a - 1, t.b - 2, t.a, t.b
+        for _ in range(-k):
+            e0, e1, h0, h1 = e1 - e0, e0, h1 - h0, h0
     while True:
         if e0 < lo and hi <= h0:
             yield k, e0, e1
@@ -174,69 +182,48 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, i
     and E_n + u(k) == c; the witness sits at pos = u(k) = c - E_n.
     `_in_range` yields exactly the levels where the range holds.
 
-    Cutoff.  With eps_n = E_n - E_(n-1)*phi, k*phi = D*phi - E_n + eps_n,
-    so for k >= 1 the test reads floor(D*phi + eps_n) == c.  Since E is a
-    Fibonacci sequence, eps_(n+1) = (1 - phi)*eps_n: |eps_n| shrinks by a
-    factor phi per level and its sign alternates (eps is 0 only for
-    t = F[1,2]).  For D != 0, frac = D*phi - u(D) lies in (0, 1), and
-    once |eps_n| < min(frac, 1 - frac), 0 < frac + eps_m < 1 for every
-    m >= n: from level n on the test is the constant u(D) == c.  For
-    D = 0 the test reads floor(eps_n) == c; once |eps_n| < 1 it is 0 for
-    eps_n >= 0 and -1 below.  So when u(D) != c, or D = 0 and c is not 0
-    or -1, the scan stops at the first level in range past the cutoff:
-    no later level can hold the witness.  Otherwise the constant needs no
-    test of its own: from the cutoff on, the first level in range hits
-    (for D = 0, one of the first two, as the sign of eps alternates).
-    The bounds are exact `_sign` tests on int pairs.  They hold within
-    O(bit length) levels: the norm |p^2 - pq - q^2| >= 1 of p - q*phi gives
-    min(frac, 1 - frac) >= 1/(1 + sqrt(5)*|D|), while
-    |eps_1| <= |E_0|*phi + |E_1|.
+    One interval decides the rest.  With eps_n = E_n - E_(n-1)*phi,
+    k*phi = D*phi - E_n + eps_n, so for k >= 1 the test u(k) == c - E_n
+    reads eps_n in I = [alpha, alpha + 1) with alpha = c - D*phi: two
+    `_sign` tests of (E_n - c) + k*phi against 0 and 1, and no Beatty
+    floor.  Since E is a Fibonacci sequence, eps_(n+1) = (1 - phi)*eps_n:
+    |eps_n| shrinks by a factor phi per level and its sign alternates
+    (eps is 0 only for t = F[1,2]), so every later eps lies in
+    [-|eps_n|, |eps_n|].
 
-    The scan runs the direct test first at each level in range and
-    works out u(D) and the margin, `_cutoff_margin`, only at the first
-    level that misses; a hit at the first level in range costs one u
-    call.  This order answers exactly as a cutoff test ahead of the
-    direct test would: the cutoff fires only where the test is already
-    the constant u(D) == c (or floor(eps_n) == c for D = 0), and it is
-    armed only when that constant is false, so every level it stops at
-    misses the direct test too.
+    - Cutoff.  A level that misses ends the scan once that interval no
+      longer meets I: below I (eps_n < alpha) when -eps_n < alpha too,
+      above I (eps_n >= alpha + 1) when -eps_n >= alpha + 1 too.  One
+      more `_sign` test decides it, and no later level can hit.
+    - Start.  A hit needs |eps_n| <= |c| + |D|*phi + 1 < 2^m with
+      m = bitlen(|c| + 2|D| + 1), while |eps_n| = |eps_0|*phi^-n and
+      `delta_bits` gives log2|eps_0| within 2.  So no level below
+      (bits - 2 - m)*log_phi(2) can hit, nor end the scan, and the scan
+      starts at that level (LOG_PHI_2 is below log_phi(2)).  On a strip
+      tree F[1 - u(b), b], where |eps_0| is about b, one `tree._edges`
+      evaluation replaces thousands of levels in range.
 
-    Once the edges settle, each half of the range test flips at most
-    once, so the levels in range either end, and so does `_in_range`, or
-    include every level from some point on.  In every case the scan ends
-    within O(bit length of the labels and D) levels, whatever the cap.
+    Once |eps_n| < min(|alpha|, |alpha + 1|), the interval meets I only
+    if I holds 0.  For D != 0 the norm of p - q*phi bounds that distance
+    from 0 to I below by 1/(1 + sqrt(5)*|D|), so the scan ends within
+    O(bit length of the labels, c and D) levels, or at the end of the
+    levels in range, whatever the cap.
     """
-    missed, margin = False, None
-    for k, e0, e1 in _in_range(t, rank, rank, -1):
-        level = k + 1
-        if level > level_cap:
+    bits, _ = delta_bits(t.b - t.a - 1, t.a - 1)  # eps_0 = E_0 - E_(-1)*phi
+    m = (abs(c) + 2 * abs(rank) + 1).bit_length()
+    start = (bits - 2 - m) * LOG_PHI_2[0] // LOG_PHI_2[1]
+    for k, e0, e1 in _in_range(t, rank, rank, max(start, 0) - 1):
+        if k >= level_cap:
             return None
-        if e1 + u(rank - e0) == c:
-            return level, c - e1
-        if not missed:
-            missed, margin = True, _cutoff_margin(c, rank)
-        if margin is not None:
-            # margin -+ eps with eps_n = e1 - e0*phi
-            ma, mb = margin
-            if _sign(ma - e1, mb + e0) > 0 and _sign(ma + e1, mb - e0) > 0:
+        x, y = e1 - c, rank - e0  # eps_n - alpha = x + y*phi, with eps_n = e1 - e0*phi
+        if _sign(x, y) < 0:
+            if _sign(e1 + c, -e0 - rank) > 0:  # -eps_n < alpha
                 return None
-    return None
-
-
-def _cutoff_margin(c: int, rank: int) -> tuple[int, int] | None:
-    """The bound on |eps| below which `first_witness`'s test is a false constant; None for no cutoff.
-
-    The bound x + y*phi comes as the int pair (x, y).
-    """
-    if rank:
-        ud = u(rank)
-        if ud == c:
+        elif _sign(x - 1, y) < 0:
+            return k + 1, -x
+        elif _sign(-e1 - c - 1, e0 + rank) >= 0:  # -eps_n >= alpha + 1
             return None
-        # min(frac, 1 - frac) with frac = rank*phi - u(rank)
-        if _sign(-2 * ud - 1, 2 * rank) < 0:
-            return -ud, rank
-        return 1 + ud, -rank
-    return None if c in (0, -1) else (1, 0)
+    return None
 
 
 def _row_alignment(s: FibSeq) -> tuple[int, tuple[int, int]]:
@@ -306,12 +293,13 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     and j = 2*t0 + 1 - t1 read off the aligned pair (t0, t1).  The zero
     target is the subtree F[0,1], whose root's u-child carries 0 and has
     the v-child 0: the same formulas read it off the pair (0, 0).
-    A hit at the first level in range costs two u calls: the scan's
-    test and the witness position.
+    The scan runs no Beatty floor; the witness position is the one u
+    call.
 
-    Both the alignment and the scan's jump over the levels out of range
-    cost O(1) big-int operations, so a 10^3-digit target costs what its
-    bit length asks, not one step per level.
+    The alignment, the scan's start and its jump over the levels out of
+    range cost O(1) big-int operations, so a 10^3-digit target, or a
+    tree with 10^3-digit labels, costs what its bit length asks, not one
+    step per level.
 
     RepresentsZ trees realize every target below some level.  One-sided
     trees carry only targets of their own sign (other signs raise

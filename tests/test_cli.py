@@ -202,6 +202,26 @@ def test_table_past_the_output_bound_exits_1(capsys, argv):
     assert elapsed < 1
 
 
+# Inputs of 4,300 digits, inside the interpreter's limit for integer text, whose results pass it.
+_N = str(9 * 10**4299)
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["wythoff", "--from", _N, "--to", _N], "wythoff --from --to"),
+        (["sum", "--t1", f"{_N},1", "--t2", f"{_N},1"], "sum --t1 --t2"),
+    ],
+)
+def test_result_past_the_integer_text_limit_names_the_flags(capsys, argv, flags):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: {flags}: an integer of the result passes the {limit}-digit limit for integer text\n"
+
+
 @pytest.mark.parametrize(
     "argv,size",
     [

@@ -3,11 +3,14 @@
 The test runs once per subcommand of `cli._COMMANDS`, and Hypothesis draws
 `DRAWS` argvs for each, so every subcommand gets the same share whatever
 the strategies look like.  It draws a value for each flag.  Every pair
-flag draws small integers or 4,000-digit ones, and one pair in ten is
-malformed (exit 2).  Each flag that sizes levels, depths, rows or
-columns is drawn from a cheap range below its cap or from above the cap,
-where the command must refuse before any work.  Every table is refused past one output bound, decided
-from its sizes: `array --cols` and `hofstadter --levels` past
+flag draws small integers or 4,000-digit ones, or a tree F[1 - u(b), b]
+of the representing strip with a 4,000-digit b, where `subtree` and
+`find-seq` scan past thousands of levels in range before a small guest
+can sit; one pair in ten is malformed (exit 2).  Each flag that sizes
+levels, depths, rows or columns is drawn from a cheap range below its
+cap or from above the cap, where the command must refuse before any
+work.  Every table is refused past one output bound, decided from its
+sizes: `array --cols` and `hofstadter --levels` past
 `INDEX_PAST_BOUND` pass it by the index of their largest value alone,
 `array --rows` and the `wythoff` range are drawn small (at most 6 rows,
 at most 31 ranks) or with so many rows that the table would pass it even
@@ -15,11 +18,6 @@ with one digit per number, and `tree --levels` is also drawn from 25 to
 30, where the json and dot dumps pass it.  `verify` runs only the
 `group` suite or with a `--max-level` past its cap.  No drawn value asks
 for work without a bound.  Each argv must finish within 5 s.
-
-Not drawn: the trees F[1 - u(b), b] of the representing strip with
-4,000-digit labels, since 1 - u(b) is none of the drawn values.
-`subtree` on them still takes about 6.5 s in process, one `u` call per
-level in range (ROADMAP item 2).
 """
 
 import contextlib
@@ -33,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibtree import cli
+from fibtree.wythoff import u
 
 DRAWS = 20  # argvs per subcommand
 
@@ -42,7 +41,9 @@ INDEX_PAST_BOUND = math.isqrt(5 * cli.MAX_OUTPUT_DIGITS)
 SMALL = st.integers(-20, 20)
 HUGE = st.sampled_from([10**3999 + 12345, -(10**3999) - 678, 3 * 10**3999 + 1, -7 * 10**3999])
 VALUE = st.one_of(SMALL, SMALL, SMALL, HUGE)
-PAIR = st.tuples(VALUE, VALUE).map(lambda p: f"{p[0]},{p[1]}")
+STRIP_TREES = [(1 - u(b), b) for b in (10**3999 + 7, 10**3999 + 12345)]
+VALUES, STRIP = st.tuples(VALUE, VALUE), st.sampled_from(STRIP_TREES)
+PAIR = st.one_of(VALUES, VALUES, VALUES, STRIP).map(lambda p: f"{p[0]},{p[1]}")
 # `find-seq` and `subtree` scans cost the bit length of their inputs, whatever the cap
 SCAN_CAP = st.one_of(st.integers(-2, 100), st.integers(0, 10**12), st.just(10**3999))
 
@@ -91,12 +92,15 @@ def argvs(draw, name: str) -> list[str]:
 
 
 # Run besides the draws: tree --levels 25..30 is one draw in six at best; one dump past the bound
-# and one outside it always run.
+# and one outside it always run, and so do the deep hits in a strip tree.
 FIXED = {
     "tree": [
         ["tree", "--id", "0,1", "--levels", "25", "--format", "json"],
         ["tree", "--id", f"{10**3999 + 12345},{-7 * 10**3999}", "--levels", "30", "--format", "ascii"],
     ],
+    # witnesses at levels 19,139 and 19,141
+    "subtree": [["subtree", "--child", "5,8", "--parent", "{},{}".format(*STRIP_TREES[0]), "--cap", "1000000"]],
+    "find-seq": [["find-seq", "--id", "{},{}".format(*STRIP_TREES[0]), "--seq", "5,8", "--cap", "1000000"]],
 }
 
 

@@ -277,6 +277,24 @@ def test_is_subtree_matches_reference_scan_on_thousand_digit_labels():
     assert got is not None and got.level > 4700
 
 
+def test_is_subtree_matches_reference_scan_near_the_strip():
+    # F[1 - u(b) + delta, +-b] with a 30- to 100-digit b: |eps_0| is about b, so the scan starts
+    # near level log_phi(b), where a small guest can first sit; the caps lie past the answers
+    # and the cutoffs, so the reference scans every level the jump skips
+    rng = random.Random(1836)
+    hits = 0
+    for delta in range(-2, 3):
+        for sign in (1, -1, 1, -1):
+            digits = rng.randint(30, 100)
+            b = rng.randint(10 ** (digits - 1), 10**digits)
+            parent = FibTree(1 - u(b) + delta, sign * b)
+            guests = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(8)]
+            guests += [(u(rank), u(rank) + rank) for rank in rng.sample(range(-30, 31), 6)] + [(0, 0), (-1, -1)]
+            for c, d in guests:
+                hits += _assert_subtree_matches(FibTree(c, d), parent, b.bit_length() * 3 // 2 + 20) is not None
+    assert hits > 50, hits
+
+
 def test_is_subtree_matches_rule_built_levels_at_cap_20():
     cap = 20
     for parent in (T01, FibTree(-1, 2), FibTree(3, 3), FibTree(-2, 1)):
@@ -298,15 +316,19 @@ def test_is_subtree_matches_rule_built_levels_at_cap_20():
 
 
 def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
+    # the scan's per-level primitives: sign tests, and u, which the scan need not call
     calls = 0
-    real_u = represent.u
 
-    def counting_u(n):
-        nonlocal calls
-        calls += 1
-        return real_u(n)
+    def counting(f):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
 
-    monkeypatch.setattr(represent, "u", counting_u)
+        return counted
+
+    monkeypatch.setattr(represent, "u", counting(represent.u))
+    monkeypatch.setattr(represent, "_sign", counting(represent._sign))
     known = {(c, d) for c in range(-30, 31) for d in range(-30, 31)}
     misses = [(7, 4)] + [cd for cd in sorted(known) if is_subtree(FibTree(*cd), T01, 40) is None][::37]
     for c, d in misses:
@@ -315,10 +337,10 @@ def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
         assert calls <= 64, (c, d, calls)
 
 
-def test_is_subtree_hit_at_the_first_level_in_range_makes_one_u_call(monkeypatch):
-    calls = []
-    real_u = represent.u
-    monkeypatch.setattr(represent, "u", lambda n: calls.append(n) or real_u(n))
+def test_is_subtree_hit_at_the_first_level_in_range_makes_no_u_call(monkeypatch):
+    from test_represent import _count_u
+
+    calls = _count_u(monkeypatch)
     rng = random.Random(29)
     parents = [FibTree(a, b) for a in range(-5, 6) for b in range(-5, 6)]
     parents += [FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(3)]
@@ -332,7 +354,7 @@ def test_is_subtree_hit_at_the_first_level_in_range_makes_one_u_call(monkeypatch
             calls.clear()
             got = is_subtree(child, parent)
             if child != parent and got.level == first:
-                assert len(calls) == 1, (child, parent, calls)
+                assert calls == [], (child, parent, calls)
                 checked += 1
     assert checked > 600, checked
 

@@ -454,15 +454,19 @@ def test_find_sequence_cap_below_jump_target_keeps_error_text():
 def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
     import fibtree.represent as represent
 
+    # the scan's per-level primitives: sign tests, and u, which the scan need not call
     calls = 0
-    real_u = represent.u
 
-    def counting_u(n):
-        nonlocal calls
-        calls += 1
-        return real_u(n)
+    def counting(f):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
 
-    monkeypatch.setattr(represent, "u", counting_u)
+        return counted
+
+    monkeypatch.setattr(represent, "u", counting(represent.u))
+    monkeypatch.setattr(represent, "_sign", counting(represent._sign))
     rng = random.Random(36)
     for _ in range(3):
         calls = 0
@@ -472,10 +476,9 @@ def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
         assert calls <= 64, calls
 
 
-def test_find_sequence_thousand_digit_seed_makes_two_u_calls(monkeypatch):
-    # the hit test and the witness position: j and u(j) are read off the aligned pair, and a
-    # hit at the first level in range needs no cutoff margin.  Every fibtree module that binds
-    # wythoff.u gets the counting wrapper, wythoff itself included (u_inverse calls u there).
+def _count_u(monkeypatch) -> list[int]:
+    """The arguments of every `u` call from here on: each fibtree module that binds wythoff.u
+    gets the counting wrapper, wythoff itself included (u_inverse calls u there)."""
     import fibtree
     from fibtree import wythoff
 
@@ -487,13 +490,43 @@ def test_find_sequence_thousand_digit_seed_makes_two_u_calls(monkeypatch):
     for module in modules:
         if getattr(module, "u", None) is real_u:
             monkeypatch.setattr(module, "u", lambda n: calls.append(n) or real_u(n))
+    return calls
+
+
+def test_find_sequence_thousand_digit_seed_makes_one_u_call(monkeypatch):
+    # the witness position: j and u(j) are read off the aligned pair, and the scan tests its
+    # interval by signs, with no Beatty floor
+    calls = _count_u(monkeypatch)
     rng = random.Random(38)
     for _ in range(6):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
         calls.clear()
         assert find_sequence(T01, s, level_cap=20200).level > 9000
-        assert len(calls) <= 2, len(calls)
+        assert len(calls) == 1, len(calls)
         assert _row_alignment(s) == _reference_row_alignment(s)
+
+
+@pytest.mark.parametrize("b, subtree_level", [(10**999 + 7, 4785), (10**3999 + 7, 19139)])
+def test_strip_tree_scans_start_where_the_guest_can_sit(monkeypatch, b, subtree_level):
+    # F[1 - u(b), b] has |eps_0| about b, so thousands of levels are in range before the guest
+    # F[5,8] can sit: the scan starts there, by one evaluation of the level edges, and tests a
+    # few levels by signs
+    import fibtree.represent as represent
+
+    calls = _count_u(monkeypatch)
+    edges, signs = [], []
+    real_edges, real_sign = represent._edges, represent._sign
+    monkeypatch.setattr(represent, "_edges", lambda t, n: edges.append(n) or real_edges(t, n))
+    monkeypatch.setattr(represent, "_sign", lambda a, b: signs.append(a) or real_sign(a, b))
+    strip = FibTree(1 - u(b), b)
+    w = is_subtree(FibTree(5, 8), strip, 10**6)
+    assert w.level == subtree_level
+    assert calls == [] and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
+    edges.clear()
+    signs.clear()
+    occ = find_sequence(strip, FibSeq(5, 8), 10**6)
+    assert occ.level == subtree_level + 2
+    assert len(calls) == 1 and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
 
 
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
