@@ -4,17 +4,19 @@ Each subcommand is one entry of `_COMMANDS`: its help line, its flags and
 its handler.  A handler returns either a JSON result, which `run` wraps
 in one envelope (top-level keys tool_version, command, result,
 canonically sorted), or a finished text (tree dumps as ascii or dot, the
-array as csv), which `run` prints as it is.  Integers beyond 53-bit
-magnitude are emitted as decimal strings so downstream parsers without
-big integers stay safe.  Exit codes: 0 success, 1 domain error, 2 usage
-error, 3 verification failure; a result integer past the interpreter's
-limit for integer text is a domain error that names the subcommand's
-flags.  Level n of a tree holds F_(n+2) labels, so each flag that sizes
-levels, depths or word lists has a fixed cap, checked before any work,
-and every table it prints (`array`, `wythoff`, `hofstadter`, `tree` as
-json or dot) is refused past one output bound, decided from sizes before
-the largest value is built.  The oracles of `fibtree.verify` load on
-demand, only for the `verify` subcommand.
+array as csv), which `run` prints as it is.  Handlers return plain
+integers; `run` applies the 53-bit rule once, to every integer field of
+a JSON result: an integer beyond 53-bit magnitude is emitted as a
+decimal string, so downstream parsers without big integers stay safe.
+Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification
+failure; a result integer past the interpreter's limit for integer text
+is a domain error that names the subcommand's flags.  Level n of a tree
+holds F_(n+2) labels, so each flag that sizes levels, depths or word
+lists has a fixed cap, checked before any work, and every table it
+prints (`array`, `wythoff`, `hofstadter`, `tree` as json or dot) is
+refused past one output bound, decided from sizes before the largest
+value is built.  The oracles of `fibtree.verify` load on demand, only
+for the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -55,21 +57,22 @@ MAX_OUTPUT_DIGITS = 5_000_000
 SUITE_NAMES = ("labels", "wythoff", "group", "represent", "order", "array")
 
 
-def _j(x: int):
-    """Big integers go out as decimal strings."""
-    return x if -_SAFE_MAGNITUDE < x < _SAFE_MAGNITUDE else str(x)
-
-
-def _id(t: FibTree) -> list:
-    return [_j(t.a), _j(t.b)]
-
-
 def _pair(text: str) -> tuple[int, int]:
     try:
         a, b = text.split(",")
         return int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'a,b' with integers, got {text!r}")
+
+
+def _quote_big(node: dict | list) -> None:
+    """Replace in place each int of node's dicts and lists past 53-bit magnitude by its decimal string."""
+    for key, x in node.items() if type(node) is dict else enumerate(node):
+        if type(x) is int:  # not bool
+            if abs(x) >= _SAFE_MAGNITUDE:
+                node[key] = str(x)
+        elif type(x) is dict or type(x) is list:
+            _quote_big(x)
 
 
 def _check_output(numbers: int, index: int, largest, what: str) -> None:
@@ -125,16 +128,16 @@ def _tree_json(t: FibTree, walk: list[LevelLabeling]) -> dict:
     levels = [
         {
             "level": lv.n,
-            "lo": _j(lv.lo),
-            "hi": _j(lv.hi),
+            "lo": lv.lo,
+            "hi": lv.hi,
             "nodes": [
-                {"label": _j(lv.lo + i - 1), "letter": c, "parent_pos": u_count(i) if lv.n else None}
+                {"label": lv.lo + i - 1, "letter": c, "parent_pos": u_count(i) if lv.n else None}
                 for i, c in enumerate(word(lv.n), 1)
             ],
         }
         for lv in walk
     ]
-    return {"id": _id(t), "levels": levels}
+    return {"id": [t.a, t.b], "levels": levels}
 
 
 def _tree_ascii(t: FibTree, walk: list[LevelLabeling]) -> str:
@@ -185,7 +188,7 @@ def _array(args: argparse.Namespace) -> dict | str:
     rows = wythoff_array(args.rows, args.cols)
     if args.format == "csv":
         return "\n".join(",".join(str(x) for x in row) for row in rows)
-    return {"rows": [[_j(x) for x in row] for row in rows]}
+    return {"rows": [list(row) for row in rows]}
 
 
 @_command("wythoff", "table of (u, v) pairs", _int("--from", dest="start"), _int("--to", dest="end"))
@@ -196,12 +199,13 @@ def _wythoff(args: argparse.Namespace) -> dict:
     # every number has at least the one digit of F_2.
     what = f"--from {args.start} --to {args.end}: pairs"
     _check_output(3 * (args.end - args.start + 1), 2, lambda: max(abs(v(args.start)), abs(v(args.end))), what)
-    return {"pairs": [{"n": n, "u": _j(u(n)), "v": _j(v(n))} for n in range(args.start, args.end + 1)]}
+    return {"pairs": [{"n": n, "u": u(n), "v": v(n)} for n in range(args.start, args.end + 1)]}
 
 
 @_command("sum", "add two trees", _ab("--t1"), _ab("--t2"))
 def _sum(args: argparse.Namespace) -> dict:
-    return {"id": _id(tree_sum(FibTree(*args.t1), FibTree(*args.t2)))}
+    t = tree_sum(FibTree(*args.t1), FibTree(*args.t2))
+    return {"id": [t.a, t.b]}
 
 
 @_command("classify", "which side of the representing strip", _ab("--id"))
@@ -213,8 +217,7 @@ def _classify(args: argparse.Namespace) -> dict:
           _ab("--id"), _ab("--seq", "c,d"), _int("--cap", DEFAULT_LEVEL_CAP))
 def _find_seq(args: argparse.Namespace) -> dict:
     occ = find_sequence(FibTree(*args.id), FibSeq(*args.seq), level_cap=args.cap)
-    pair = [_j(occ.pair[0]), _j(occ.pair[1])]
-    return {"level": occ.level, "pos": _j(occ.pos), "pair": pair, "shift": occ.shift, "primitive": occ.primitive}
+    return {"level": occ.level, "pos": occ.pos, "pair": list(occ.pair), "shift": occ.shift, "primitive": occ.primitive}
 
 
 @_command("interval", "smallest level containing [lo..hi]", _ab("--id"), _int("--lo"), _int("--hi"))
@@ -227,7 +230,7 @@ def _interval(args: argparse.Namespace) -> dict:
 def _subtree(args: argparse.Namespace) -> dict:
     witness = is_subtree(FibTree(*args.child), FibTree(*args.parent), level_cap=args.cap)
     if witness is not None:
-        witness = {"level": witness.level, "pos": _j(witness.pos), "word": witness.word.tokens()}
+        witness = {"level": witness.level, "pos": witness.pos, "word": witness.word.tokens()}
     return {"contains": witness is not None, "cap": args.cap, "witness": witness}
 
 
@@ -241,7 +244,7 @@ def _self_contain(args: argparse.Namespace) -> dict:
 def _lub(args: argparse.Namespace) -> dict:
     depth = _within(args.depth, MAX_LUB_DEPTH, "--depth", "join search")
     found = least_upper_bound(FibTree(*args.t1), FibTree(*args.t2), depth)
-    return {"depth": depth, "lub": [_id(t) for t in found]}
+    return {"depth": depth, "lub": [[t.a, t.b] for t in found]}
 
 
 @_command("hofstadter", "consecutive-integer region of F[1,2]", _int("--levels", 10))
@@ -251,12 +254,12 @@ def _hofstadter(args: argparse.Namespace) -> dict:
     top = max(n_max, 0) + 2
     _check_output(3 * (n_max + 1), top, lambda: fib(top), f"--levels {n_max}: labels")
     levels = hofstadter_levels(n_max)
-    return {"levels": [{"level": n, "lo": _j(lo), "hi": _j(hi)} for n, (lo, hi) in enumerate(levels)]}
+    return {"levels": [{"level": n, "lo": lo, "hi": hi} for n, (lo, hi) in enumerate(levels)]}
 
 
 @_command("g", "g(n) = n - g(g(n-1))", _int("--n"))
 def _g(args: argparse.Namespace) -> dict:
-    return {"g": _j(hofstadter_g(args.n))}
+    return {"g": hofstadter_g(args.n)}
 
 
 @_command("verify", "run the property suites", _choice("--suite", "all", *SUITE_NAMES), _int("--max-level", 15))
@@ -304,6 +307,8 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         result = args.handler(args)
+        if not isinstance(result, str):
+            _quote_big(result)  # the one place the 53-bit rule is applied
     except ValueError as exc:
         if "integer string conversion" in str(exc):
             # The interpreter refused to write a result's integer as text: name the flags that asked for it.

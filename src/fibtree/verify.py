@@ -21,7 +21,7 @@ from itertools import product
 
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
-from .goldring import Atom, GoldInt, MapWord, _apply_atom, fib, gold_sign, phi_pow
+from .goldring import Atom, GoldInt, MapWord, _apply_atom, _sign, fib, phi_pow
 from .order import _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
 from .tree import FibTree, NodeRef, branch_sequence, build_levels, children_labels, node_label, parent_label, u_nodes
@@ -48,9 +48,9 @@ def beatty_oracle(n: int) -> int:
     return (n * _PHI_SCALED) // _SCALE
 
 
-def gold_sign_oracle(z: GoldInt) -> int:
+def gold_sign_oracle(a: int, b: int) -> int:
     """Sign of a + b*phi from the 50-digit decimal constant."""
-    val = 2 * z.a * _SCALE + z.b * (_SCALE + _SQRT5_SCALED)
+    val = 2 * a * _SCALE + b * (_SCALE + _SQRT5_SCALED)
     return (val > 0) - (val < 0)
 
 
@@ -67,11 +67,13 @@ def check_consecutive_labels(grid: int = 5, max_level: int = 20) -> list[dict]:
     Also checks that node_label's interval form lo + pos - 1 equals the
     Wythoff form lo - 1 + u(u_count(pos)) or lo - 1 + v(v_count(pos)):
     the two differ only through pos, so one pass over the positions of
-    the widest level covers every tree and level built here.
+    the widest level covers every tree and level built here.  Each
+    position's letter comes from the concatenation word, not from
+    `letter_at`, which is itself defined by the u-branch's equation.
     """
     failures = []
-    for pos in range(1, fib(max_level + 2) + 1):
-        if letter_at(pos) == U:
+    for pos, letter in enumerate(word(max_level), 1):
+        if letter == U:
             via_wythoff = u(u_count(pos))
         else:
             via_wythoff = v(v_count(pos))
@@ -233,7 +235,7 @@ def check_classification() -> list[dict]:
     # Both boundaries, a + b*phi = 0 at F[0,0] and = phi^3 at F[1,2], against the decimal oracle.
     for a in range(-60, 61):
         for b in range(-60, 61):
-            low, high = gold_sign_oracle(GoldInt(a, b)), gold_sign_oracle(GoldInt(a - 1, b - 2))
+            low, high = gold_sign_oracle(a, b), gold_sign_oracle(a - 1, b - 2)
             if low <= 0:
                 want = TreeClass.NONPOSITIVE_SIDE
             else:
@@ -621,14 +623,12 @@ def check_wythoff_array(
 
 
 def check_gold_sign_oracle(bound: int = 1000) -> list[dict]:
-    failures = []
+    """`goldring._sign`, the sign body behind `gold_sign`, `classify` and every search, on int pairs."""
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
-            z = GoldInt(a, b)
-            if gold_sign(z) != gold_sign_oracle(z):
-                failures.append(_fail("gold-sign-oracle", f"{z}"))
-                return failures
-    return failures
+            if _sign(a, b) != gold_sign_oracle(a, b):
+                return [_fail("gold-sign-oracle", f"{a}{b:+d}*phi")]
+    return []
 
 
 # ------------------------------------------------------------------ suites

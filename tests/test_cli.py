@@ -429,7 +429,8 @@ def test_tree_rejects_negative_levels(capsys, fmt):
 
 
 # Full stdout of one argv per subcommand, per tree format and per array
-# format, pinned byte for byte; only tool_version is masked.
+# format, pinned byte for byte; only tool_version is masked.  A rank and a
+# cap past 2^53 go out as decimal strings, like every other integer field.
 PINNED = [
     (
         "tree --id -1,2 --levels 2",
@@ -486,6 +487,11 @@ digraph "F[0,1]" {
         '{"command": "wythoff", "result": {"pairs": [{"n": -2, "u": -4, "v": -6}, {"n": -1, "u": -2, "v": -3}, {"n": 0, "u": -1, "v": -1}, {"n": 1, "u": 1, "v": 2}, {"n": 2, "u": 3, "v": 5}]}, "tool_version": "*"}\n',
     ),
     (
+        "wythoff --from 9007199254740993 --to 9007199254740993",
+        0,
+        '{"command": "wythoff", "result": {"pairs": [{"n": "9007199254740993", "u": "14573954537613649", "v": "23581153792354642"}]}, "tool_version": "*"}\n',
+    ),
+    (
         "sum --t1 0,1 --t2 -1,2",
         0,
         '{"command": "sum", "result": {"id": [-1, 3]}, "tool_version": "*"}\n',
@@ -509,6 +515,11 @@ digraph "F[0,1]" {
         "subtree --child 1,2 --parent 0,1",
         0,
         '{"command": "subtree", "result": {"cap": 30, "contains": true, "witness": {"level": 2, "pos": 3, "word": ["R"]}}, "tool_version": "*"}\n',
+    ),
+    (
+        "subtree --child 5,8 --parent 0,1 --cap 9007199254740993",
+        0,
+        '{"command": "subtree", "result": {"cap": "9007199254740993", "contains": false, "witness": null}, "tool_version": "*"}\n',
     ),
     (
         "self-contain --id 1,2 --depth 2",

@@ -17,7 +17,8 @@ at most 31 ranks) or with so many rows that the table would pass it even
 with one digit per number, and `tree --levels` is also drawn from 25 to
 30, where the json and dot dumps pass it.  `verify` runs only the
 `group` suite or with a `--max-level` past its cap.  No drawn value asks
-for work without a bound.  Each argv must finish within 5 s.
+for work without a bound.  Each argv must finish within 5 s, and each
+JSON output may hold no bare integer past 53-bit magnitude.
 """
 
 import contextlib
@@ -104,6 +105,12 @@ FIXED = {
 }
 
 
+def _safe_int(text: str) -> int:
+    """A JSON integer, which must lie within 53-bit magnitude: larger ones go out as decimal strings."""
+    assert abs(int(text)) < 1 << 53, f"bare JSON integer {text[:40]} past 53-bit magnitude"
+    return int(text)
+
+
 def _exits_cleanly(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -116,7 +123,7 @@ def _exits_cleanly(argv: list[str]) -> None:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
     if code == 0 and dict(zip(argv[1::2], argv[2::2])).get("--format", "json") == "json":
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_int=_safe_int)
     assert elapsed < 5, f"{argv} took {elapsed:.1f} s"
 
 

@@ -85,8 +85,7 @@ def test_gold_sign_zero_only_at_zero_small_grid():
 
 @given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=-1000, max_value=1000))
 def test_gold_sign_matches_decimal_oracle(a, b):
-    z = GoldInt(a, b)
-    assert gold_sign(z) == gold_sign_oracle(z)
+    assert gold_sign(GoldInt(a, b)) == gold_sign_oracle(a, b)
 
 
 def test_apply_map_anchors():
