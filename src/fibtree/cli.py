@@ -25,10 +25,11 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate, count
 
 from . import __version__
 from .algebra import tree_sum
-from .fibword import MAX_WORD_LEVEL, U, u_count, word
+from .fibword import MAX_WORD_LEVEL, U, word
 from .goldring import fib
 from .order import DEFAULT_SUBTREE_CAP, is_subtree, least_upper_bound, self_containment
 from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
@@ -124,34 +125,33 @@ def _choice(name: str, *choices: str) -> tuple[str, dict]:
     return name, {"choices": choices, "default": choices[0]}
 
 
-def _tree_json(t: FibTree, walk: list[LevelLabeling]) -> dict:
-    levels = [
-        {
-            "level": lv.n,
-            "lo": lv.lo,
-            "hi": lv.hi,
-            "nodes": [
-                {"label": lv.lo + i - 1, "letter": c, "parent_pos": u_count(i) if lv.n else None}
-                for i, c in enumerate(word(lv.n), 1)
-            ],
-        }
-        for lv in walk
-    ]
-    return {"id": [t.a, t.b], "levels": levels}
-
-
-def _tree_ascii(t: FibTree, walk: list[LevelLabeling]) -> str:
-    return "\n".join([f"tree {t}", *(f"level {lv.n}: [{lv.lo} .. {lv.hi}] {word(lv.n)}" for lv in walk)])
-
-
-def _tree_dot(t: FibTree, walk: list[LevelLabeling]) -> str:
-    nodes, edges = [], []
+def _tree_levels(walk: list[LevelLabeling], w: str):
+    """(level, letters, parent positions) per level: its letters are the prefix of w of its width, and the parent
+    of position i is the count of u letters up to i (Hofstadter's g), summed as ints, not bools; the root has none."""
     for lv in walk:
-        for i, c in enumerate(word(lv.n), 1):
-            shape = "ellipse" if c == U else "triangle"
-            nodes.append(f'  n{lv.n}_{i} [label="{lv.lo + i - 1}", shape={shape}];')
+        letters = w[: lv.hi - lv.lo + 1]
+        yield lv, letters, accumulate(int(c == U) for c in letters) if lv.n else [None]
+
+
+def _tree_json(t: FibTree, levels) -> dict:
+    return {"id": [t.a, t.b], "levels": [
+        {"level": lv.n, "lo": lv.lo, "hi": lv.hi,
+         "nodes": [{"label": x, "letter": c, "parent_pos": p} for x, c, p in zip(count(lv.lo), letters, parents)]}
+        for lv, letters, parents in levels
+    ]}
+
+
+def _tree_ascii(t: FibTree, levels) -> str:
+    return "\n".join([f"tree {t}", *(f"level {lv.n}: [{lv.lo} .. {lv.hi}] {letters}" for lv, letters, _ in levels)])
+
+
+def _tree_dot(t: FibTree, levels) -> str:
+    nodes, edges = [], []
+    for lv, letters, parents in levels:
+        for i, c, p in zip(count(1), letters, parents):
+            nodes.append(f'  n{lv.n}_{i} [label="{lv.lo + i - 1}", shape={"ellipse" if c == U else "triangle"}];')
             if lv.n:
-                edges.append(f"  n{lv.n - 1}_{u_count(i)} -> n{lv.n}_{i};")
+                edges.append(f"  n{lv.n - 1}_{p} -> n{lv.n}_{i};")
     return "\n".join([f'digraph "{t}" {{', *nodes, *edges, "}"])
 
 
@@ -166,14 +166,14 @@ def _tree(args: argparse.Namespace) -> dict | str:
     if levels < 0:
         raise ValueError(f"level must be >= 0, got {levels}")
     t = FibTree(*args.id)
-    # One walk for every format: each level's edges once, its letters as one word.
+    # One walk for every format, each level's edges once, and one word: every level's letters are a prefix of it.
     walk = [level_interval(t, n) for n in range(levels + 1)]
     if args.format != "ascii":
-        # F_(levels+4) - 2 nodes, each a label and a position of at most F_(levels+2)
+        # each node a label and a position of at most the last level's width
+        widths = [lv.hi - lv.lo + 1 for lv in walk]
         ends = [abs(x) for lv in walk for x in (lv.lo, lv.hi)]
-        what = f"--levels {levels}: nodes"
-        _check_output(2 * (fib(levels + 4) - 2), levels + 2, lambda: max(fib(levels + 2), *ends), what)
-    return _TREE_FORMATS[args.format](t, walk)
+        _check_output(2 * sum(widths), levels + 2, lambda: max(widths[-1], *ends), f"--levels {levels}: nodes")
+    return _TREE_FORMATS[args.format](t, _tree_levels(walk, word(levels)))
 
 
 @_command("array", "top-left corner of the Wythoff array",
@@ -265,6 +265,8 @@ def _g(args: argparse.Namespace) -> dict:
 @_command("verify", "run the property suites", _choice("--suite", "all", *SUITE_NAMES), _int("--max-level", 15))
 def _verify(args: argparse.Namespace) -> dict:
     max_level = _within(args.max_level, MAX_VERIFY_LEVEL, "--max-level", "verify")
+    if max_level < 0:
+        raise ValueError(f"--max-level must be >= 0, got {max_level}")
     from .verify import run_suites
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal, localcontext
-from functools import lru_cache
 from itertools import product
 
 from .algebra import scalar_mul, tree_sum
@@ -509,7 +508,13 @@ def check_lub(depth: int = 4, grid: int = 3) -> list[dict]:
         for _ in range(depth):
             layer = [_apply_atom(atom, z) for z in layer for atom in (Atom.LINV, Atom.RINV)]
             rings[t].append(rings[t][-1] | {(z.a, z.b) for z in layer})
-    inside = lru_cache(maxsize=None)(lambda y, x: is_subtree(FibTree(*y), FibTree(*x), 4 * depth + 2))
+    memo: dict[tuple, bool] = {}  # (y, x) -> is y inside x, for this check only
+
+    def inside(y: tuple[int, int], x: tuple[int, int]) -> bool:
+        if (y, x) not in memo:
+            memo[y, x] = is_subtree(FibTree(*y), FibTree(*x), 4 * depth + 2) is not None
+        return memo[y, x]
+
     for i, t1 in enumerate(trees):
         for t2 in trees[i + 1 :]:
             common = next((c for c in map(set.intersection, rings[t1], rings[t2]) if c), set())

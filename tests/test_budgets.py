@@ -1,0 +1,44 @@
+"""Stated budgets, asserted: the worst argv inside an output bound runs as a process.
+
+Each row runs `python -m fibtree` as a child process under an address-space
+limit (set in the child only) and a timeout, asserts exit 0 and the size of
+its output, and asserts that the first argv past the bound exits 1 with one
+line on stderr.
+"""
+
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE = 512 * 2**20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _fibtree(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "fibtree", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("fmt, size", [("json", 17_077_036), ("dot", 22_139_659)])
+def test_tree_dump_at_its_bound(fmt, size):
+    # --levels 24: 317,808 nodes of F[0,1], about 130 MiB (json) and 100 MiB (dot) peak RSS
+    proc = _fibtree("tree", "--id", "0,1", "--levels", "24", "--format", fmt)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout) == size
+    proc = _fibtree("tree", "--id", "0,1", "--levels", "25", "--format", fmt)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().count("\n") == 1 and proc.stderr.startswith(b"error: --levels 25: nodes")

@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -92,6 +94,28 @@ def test_tree_json_parent_positions(capsys):
     level3 = doc["result"]["levels"][3]
     assert level3["lo"] == 1 and level3["hi"] == 5
     assert [n["parent_pos"] for n in level3["nodes"]] == [1, 1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_tree_dump_reads_one_word_and_no_beatty_floor(monkeypatch, capsys, fmt):
+    # every level's letters and parent positions come off word(levels): no u or u_count call,
+    # counted in each fibtree module that binds them
+    import fibtree
+    from fibtree import fibword, wythoff
+
+    modules = [fibtree] + [
+        importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
+    ]
+    calls = []
+    for origin, name in [(wythoff, "u"), (fibword, "u_count"), (fibword, "word")]:
+        real = getattr(origin, name)
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, lambda n, name=name, real=real: calls.append(name) or real(n))
+    code = run(["tree", "--id", "3,-5", "--levels", "20", "--format", fmt])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == ["word"]
 
 
 def test_big_labels_become_strings(capsys):
@@ -285,6 +309,18 @@ def test_verify_max_level_cap(monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: --max-level 21 exceeds the verify cap 20\n"
+
+
+@pytest.mark.parametrize("suite", ["labels", "group"])
+def test_verify_negative_max_level_names_the_flag(monkeypatch, capsys, suite):
+    # refused before the oracles load: `group` never reads the level, `labels` would fail inside word()
+    monkeypatch.delitem(sys.modules, "fibtree.verify", raising=False)
+    code = run(["verify", "--suite", suite, "--max-level", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --max-level must be >= 0, got -3\n"
+    assert "fibtree.verify" not in sys.modules
 
 
 def test_lub_depth_cap(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from fibtree import represent
 from fibtree.fibword import U
-from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib
+from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib, fixed_point
 from fibtree.order import SubtreeWitness, _inverse_steps, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
 from fibtree.wythoff import u
@@ -133,6 +133,26 @@ def test_antisymmetry_small_grid():
 def test_lub_known_joins():
     assert least_upper_bound(FibTree(-1, 2), FibTree(-3, 5), 4) == [FibTree(18, -10)]
     assert least_upper_bound(T00, T12, 2) == [T01]
+
+
+def test_common_upper_bounds_of_the_known_join_form_an_orbit():
+    # ROADMAP item 5: (a, b) -> (2a - b + 1, b - a) is the map word L^-1 R^-1 L, which acts as
+    # z -> phi^-2 z + 1 and so fixes phi, the identity F[0,1]; its orbit from the join F[18,-10]
+    # is a chain of common upper bounds of F[-1,2] and F[-3,5], none inside another
+    w = MapWord((Atom.LINV, Atom.RINV, Atom.L))
+    assert w.affine_parts() == (-2, GoldInt(1, 0))
+    assert fixed_point(w) == GoldInt(0, 1) == FibTree(0, 1).gold()
+    orbit = [GoldInt(18, -10)]
+    for _ in range(5):
+        z = orbit[-1]
+        orbit.append(w.apply(z))
+        assert orbit[-1] == GoldInt(2 * z.a - z.b + 1, z.b - z.a)
+    bounds = [FibTree(z.a, z.b) for z in orbit]
+    assert [(t.a, t.b) for t in bounds] == [(18, -10), (47, -28), (123, -75), (322, -198), (843, -520), (2207, -1363)]
+    for t in bounds:
+        assert is_subtree(FibTree(-1, 2), t, 200) is not None
+        assert is_subtree(FibTree(-3, 5), t, 200) is not None
+    assert all(is_subtree(x, y, 200) is None for x in bounds for y in bounds if x != y)
 
 
 def test_lub_reflexive_and_validation():

@@ -6,7 +6,8 @@ must agree.
 Parses every module under src/fibtree with ast.  Only `verify.py` may use
 `decimal`: its oracles are the one sanctioned approximation of phi.  The
 searches in `represent.py` and `order.py` run on bare ints: they name no
-`GoldInt`.
+`GoldInt`.  Every cache is bounded: each `lru_cache` names a finite
+`maxsize`, and `functools.cache` is not used.
 """
 
 import ast
@@ -95,3 +96,21 @@ def test_searches_build_no_ring_elements(name):
         or isinstance(node, ast.ImportFrom) and any(alias.name == "GoldInt" for alias in node.names)
     ]
     assert named == []
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    unbounded = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "cache":
+            unbounded.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            # no maxsize at all is the default 128
+            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if sizes and not (isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+                unbounded.append((node.lineno, ast.unparse(node)))
+    assert unbounded == []
