@@ -35,7 +35,7 @@ from .represent import (
 from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "Atom",

@@ -12,11 +12,12 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification
 failure; a result integer past the interpreter's limit for integer text
 is a domain error that names the subcommand's flags.  Level n of a tree
 holds F_(n+2) labels, so each flag that sizes levels, depths or word
-lists has a fixed cap, checked before any work, and every table it
-prints (`array`, `wythoff`, `hofstadter`, `tree` as json or dot) is
-refused past one output bound, decided from sizes before the largest
-value is built.  The oracles of `fibtree.verify` load on demand, only
-for the `verify` subcommand.
+lists has a least value and a fixed cap, checked before any work, and
+every table it prints (`array`, `wythoff`, `hofstadter`, `tree` as json
+or dot) is refused past one output bound, decided from sizes before the
+largest value is built.  The searches decide with no `--cap`; one that
+is given bounds the levels scanned.  The oracles of `fibtree.verify`
+load on demand, only for the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from . import __version__
 from .algebra import tree_sum
 from .fibword import MAX_WORD_LEVEL, U, word
 from .goldring import fib
-from .order import DEFAULT_SUBTREE_CAP, is_subtree, least_upper_bound, self_containment
-from .represent import DEFAULT_LEVEL_CAP, classify, find_interval_level, find_sequence
+from .order import is_subtree, least_upper_bound, self_containment
+from .represent import classify, find_interval_level, find_sequence
 from .tree import FibTree, LevelLabeling, level_interval
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
@@ -88,9 +89,11 @@ def _check_output(numbers: int, index: int, largest, what: str) -> None:
         raise ValueError(f"{what} pass the {MAX_OUTPUT_DIGITS}-digit output bound")
 
 
-def _within(value: int, cap: int, flag: str, what: str) -> int:
-    """value, refused when it exceeds the flag's fixed work cap."""
-    if value > cap:
+def _within(value: int, flag: str, least: int, cap: int | None = None, what: str = "") -> int:
+    """value, refused below the flag's least value or past its fixed work cap, if it has one."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
         raise ValueError(f"{flag} {value} exceeds the {what} cap {cap}")
     return value
 
@@ -116,7 +119,7 @@ def _ab(name: str, metavar: str = "a,b") -> tuple[str, dict]:
 
 
 def _int(name: str, default: int | None = None, **options) -> tuple[str, dict]:
-    """An integer flag, required when it has no default."""
+    """An integer flag, required when it has no default and options do not say otherwise."""
     return name, {"type": int, "default": default, "required": default is None, **options}
 
 
@@ -162,9 +165,7 @@ _TREE_FORMATS = {"json": _tree_json, "ascii": _tree_ascii, "dot": _tree_dot}
           _ab("--id"), _int("--levels", 5), _choice("--format", *_TREE_FORMATS))
 def _tree(args: argparse.Namespace) -> dict | str:
     # level n holds F_{n+2} nodes; a dump beyond the cap is unusable
-    levels = _within(args.levels, MAX_WORD_LEVEL, "--levels", "dump")
-    if levels < 0:
-        raise ValueError(f"level must be >= 0, got {levels}")
+    levels = _within(args.levels, "--levels", 0, MAX_WORD_LEVEL, "dump")
     t = FibTree(*args.id)
     # One walk for every format, each level's edges once, and one word: every level's letters are a prefix of it.
     walk = [level_interval(t, n) for n in range(levels + 1)]
@@ -214,9 +215,10 @@ def _classify(args: argparse.Namespace) -> dict:
 
 
 @_command("find-seq", "locate a sequence as an ascending branch",
-          _ab("--id"), _ab("--seq", "c,d"), _int("--cap", DEFAULT_LEVEL_CAP))
+          _ab("--id"), _ab("--seq", "c,d"), _int("--cap", required=False))
 def _find_seq(args: argparse.Namespace) -> dict:
-    occ = find_sequence(FibTree(*args.id), FibSeq(*args.seq), level_cap=args.cap)
+    cap = args.cap if args.cap is None else _within(args.cap, "--cap", 0)
+    occ = find_sequence(FibTree(*args.id), FibSeq(*args.seq), level_cap=cap)
     return {"level": occ.level, "pos": occ.pos, "pair": list(occ.pair), "shift": occ.shift, "primitive": occ.primitive}
 
 
@@ -226,32 +228,33 @@ def _interval(args: argparse.Namespace) -> dict:
 
 
 @_command("subtree", "decide containment of one tree in another",
-          _ab("--child", "c,d"), _ab("--parent"), _int("--cap", DEFAULT_SUBTREE_CAP))
+          _ab("--child", "c,d"), _ab("--parent"), _int("--cap", required=False))
 def _subtree(args: argparse.Namespace) -> dict:
-    witness = is_subtree(FibTree(*args.child), FibTree(*args.parent), level_cap=args.cap)
+    cap = args.cap if args.cap is None else _within(args.cap, "--cap", 0)
+    witness = is_subtree(FibTree(*args.child), FibTree(*args.parent), level_cap=cap)
     if witness is not None:
         witness = {"level": witness.level, "pos": witness.pos, "word": witness.word.tokens()}
-    return {"contains": witness is not None, "cap": args.cap, "witness": witness}
+    return {"contains": witness is not None, "cap": cap, "witness": witness}
 
 
 @_command("self-contain", "forward words fixing a tree", _ab("--id"), _int("--depth", 10))
 def _self_contain(args: argparse.Namespace) -> dict:
-    depth = _within(args.depth, MAX_SELF_CONTAIN_DEPTH, "--depth", "self-containment")
+    depth = _within(args.depth, "--depth", 1, MAX_SELF_CONTAIN_DEPTH, "self-containment")
     return {"depth": depth, "words": [w.tokens() for w in self_containment(FibTree(*args.id), depth)]}
 
 
 @_command("lub", "minimal common ancestors within a depth", _ab("--t1"), _ab("--t2"), _int("--depth", 10))
 def _lub(args: argparse.Namespace) -> dict:
-    depth = _within(args.depth, MAX_LUB_DEPTH, "--depth", "join search")
+    depth = _within(args.depth, "--depth", 1, MAX_LUB_DEPTH, "join search")
     found = least_upper_bound(FibTree(*args.t1), FibTree(*args.t2), depth)
     return {"depth": depth, "lub": [[t.a, t.b] for t in found]}
 
 
 @_command("hofstadter", "consecutive-integer region of F[1,2]", _int("--levels", 10))
 def _hofstadter(args: argparse.Namespace) -> dict:
-    n_max = args.levels
+    n_max = _within(args.levels, "--levels", 0)
     # The last level's top label F_(n_max+2) is the largest; check it before building any level.
-    top = max(n_max, 0) + 2
+    top = n_max + 2
     _check_output(3 * (n_max + 1), top, lambda: fib(top), f"--levels {n_max}: labels")
     levels = hofstadter_levels(n_max)
     return {"levels": [{"level": n, "lo": lo, "hi": hi} for n, (lo, hi) in enumerate(levels)]}
@@ -264,9 +267,7 @@ def _g(args: argparse.Namespace) -> dict:
 
 @_command("verify", "run the property suites", _choice("--suite", "all", *SUITE_NAMES), _int("--max-level", 15))
 def _verify(args: argparse.Namespace) -> dict:
-    max_level = _within(args.max_level, MAX_VERIFY_LEVEL, "--max-level", "verify")
-    if max_level < 0:
-        raise ValueError(f"--max-level must be >= 0, got {max_level}")
+    max_level = _within(args.max_level, "--max-level", 0, MAX_VERIFY_LEVEL, "verify")
     from .verify import run_suites
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]

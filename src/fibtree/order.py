@@ -13,10 +13,10 @@ where the shift lemma lets the child sit, steps the level edges by
 additions, jumps past the levels out of range and stops once the
 shift-lemma cutoff or the range test shows that no later level can hold
 the child; it runs no Beatty floor, and neither does the witness word.
-A subtree miss (None) reads "not found up to the cap", and it takes
-O(bit length) levels to establish.  `self_containment` is the theorem
-itself: only F[1,2] and F[0,0] contain themselves, by the powers of L
-and of R.
+So it decides: with no level cap a miss (None) is proven absence, and it
+takes O(bit length) levels to establish; a cap, when given, only bounds
+the levels scanned.  `self_containment` is the theorem itself: only
+F[1,2] and F[0,0] contain themselves, by the powers of L and of R.
 
 `least_upper_bound` is the one search that grows with 2^depth: it
 enumerates the inverse-map ancestors of both trees, up to 2^(r+1) bare
@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from .goldring import Atom, MapWord, _fib_pair
 from .represent import first_witness
 from .tree import FibTree
-
-DEFAULT_SUBTREE_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -78,17 +76,16 @@ def _word_to(level: int, pos: int) -> MapWord:
     return MapWord(tuple(atoms))
 
 
-def is_subtree(
-    child: FibTree, parent: FibTree, level_cap: int = DEFAULT_SUBTREE_CAP
-) -> SubtreeWitness | None:
-    """First witness that child sits inside parent, scanning levels 0..cap.
+def is_subtree(child: FibTree, parent: FibTree, level_cap: int | None = None) -> SubtreeWitness | None:
+    """First witness that child sits inside parent, or None when it does not.
 
     The witness is the first u-node of the parent that carries the
     child's root label c and whose v-child carries its second label d,
     located by `represent.first_witness`: its scan starts where the
     shift lemma lets the child sit and ends within O(bit length of the
-    labels) levels of there, whatever the cap; a tree is its own witness
-    at level 0.  None means "not found up to the cap".
+    labels) levels of there; a tree is its own witness at level 0.  A
+    level_cap, when given, limits the scan to levels 0..level_cap, and
+    None then means "not found up to the cap".
     """
     found = first_witness(child.a, child.b - child.a, parent, level_cap)
     if found is None:
@@ -144,14 +141,13 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     Widens both inverse-word radii one step at a time, on bare (a, b)
     int pairs, until the two ancestor sets first meet, then returns the
     trees of that intersection, in sorted (a, b) order, that contain no
-    other tree of it (containment decided by is_subtree up to level
-    4*depth + 2).  Stopping at the first nonempty radius keeps
-    far-off incomparable ancestors out of the answer, but it can stop
-    short of the larger tree of a comparable pair: F[163,264] sits
-    inside F[-1,2] at level 12, yet at depth 8 the answer is [F[3,0]],
-    met at radius 6 before F[-1,2] is reached at radius 8.  An empty
-    list means nothing was found within the depth, not that no upper
-    bound exists.
+    other tree of it (containment decided by is_subtree).  Stopping at
+    the first nonempty radius keeps far-off incomparable ancestors out of
+    the answer, but it can stop short of the larger tree of a comparable
+    pair: F[163,264] sits inside F[-1,2] at level 12, yet at depth 8 the
+    answer is [F[3,0]], met at radius 6 before F[-1,2] is reached at
+    radius 8.  An empty list means nothing was found within the depth,
+    not that no upper bound exists.
 
     Each frontier is a list: radius d steps every identity of radius
     d - 1, the images W^-1(t) of the 2^(d-1) inverse words of that
@@ -170,7 +166,6 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    level_cap = 4 * depth + 2
     front1, front2 = [(t1.a, t1.b)], [(t2.a, t2.b)]
     seen1, seen2 = set(front1), set(front2)
     for _ in range(depth):
@@ -183,8 +178,4 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     if not common:
         return []
     trees = [FibTree(a, b) for a, b in common]
-    return [
-        x
-        for x in trees
-        if not any(y != x and is_subtree(y, x, level_cap) for y in trees)
-    ]
+    return [x for x in trees if not any(y != x and is_subtree(y, x) for y in trees)]

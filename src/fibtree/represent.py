@@ -16,7 +16,9 @@ a copy of its row's subtree, so `find_sequence` and `order.is_subtree`
 share one witness scan, `first_witness`.  By the shift lemma one fixed
 interval decides that scan: the level's hit, the cutoff past which no
 level can hit, and the level where a hit first becomes possible, found
-from bit lengths, so the scan runs no Beatty floor.
+from bit lengths, so the scan runs no Beatty floor.  The scan ends by
+itself, so the searches need no level cap and a miss is proven absence;
+a cap, when given, only bounds the work.
 A located branch is fixed by its pair, so the searches return it without
 replaying it; the replay is `verify.check_find_sequence`, and
 `count_occurrences` is the brute-force count over rule-built levels.
@@ -34,8 +36,6 @@ from .goldring import _sign
 from .fibword import U
 from .tree import FibTree, _edges, u_nodes
 from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u
-
-DEFAULT_LEVEL_CAP = 60
 
 # The shortest skip over out-of-range levels worth a jump: one `tree._edges`
 # call on a cached doubling, about 0.47 us against 0.1 us per level stepped
@@ -171,8 +171,11 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
         k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
 
 
-def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, int] | None:
-    """(level, pos) of the first u-node of t on levels 0..level_cap labeled c whose v-child carries c + rank.
+def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -> tuple[int, int] | None:
+    """(level, pos) of the first u-node of t labeled c whose v-child carries c + rank, or None when t has none.
+
+    A level_cap, when given, is a work budget: only levels 0..level_cap
+    are scanned, and None then reads "not found up to the cap".
 
     Write D = rank, E_n = lo(n) - 1 and H_n = hi(n) for t's level edges.
     A u-node labeled c whose v-child carries c + D has a parent labeled D
@@ -204,16 +207,19 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int) -> tuple[int, i
       evaluation replaces thousands of levels in range.
 
     Once |eps_n| < min(|alpha|, |alpha + 1|), the interval meets I only
-    if I holds 0.  For D != 0 the norm of p - q*phi bounds that distance
-    from 0 to I below by 1/(1 + sqrt(5)*|D|), so the scan ends within
-    O(bit length of the labels, c and D) levels, or at the end of the
-    levels in range, whatever the cap.
+    if I holds 0, and then eps_n is in I.  For D != 0 the norm of
+    p - q*phi bounds that distance from 0 to I below by
+    1/(1 + sqrt(5)*|D|); for D = 0, I = [c, c + 1) holds 0 at most as an
+    end (c = 0 or -1), and once |eps_n| < 1 one of two levels in a row
+    lands in I.  So the scan ends within O(bit length of the labels, c
+    and D) levels, or at the end of the levels in range, with no cap: a
+    miss is then proven.
     """
     bits, _ = delta_bits(t.b - t.a - 1, t.a - 1)  # eps_0 = E_0 - E_(-1)*phi
     m = (abs(c) + 2 * abs(rank) + 1).bit_length()
     start = (bits - 2 - m) * LOG_PHI_2[0] // LOG_PHI_2[1]
     for k, e0, e1 in _in_range(t, rank, rank, max(start, 0) - 1):
-        if k >= level_cap:
+        if level_cap is not None and k >= level_cap:
             return None
         x, y = e1 - c, rank - e0  # eps_n - alpha = x + y*phi, with eps_n = e1 - e0*phi
         if _sign(x, y) < 0:
@@ -280,7 +286,7 @@ def _below_inverse_phi(t0: int, t1: int) -> bool:
     return _sign(-1 - t1, 1 + t0) > 0
 
 
-def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> Occurrence:
+def find_sequence(t: FibTree, s: FibSeq, level_cap: int | None = None) -> Occurrence:
     """A primitive branch of t realizing s: the canonical pair's first appearance.
 
     Nonzero targets are first aligned to their row start (u(u(j)), v(u(j))).
@@ -301,10 +307,11 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     tree with 10^3-digit labels, costs what its bit length asks, not one
     step per level.
 
-    RepresentsZ trees realize every target below some level.  One-sided
-    trees carry only targets of their own sign (other signs raise
-    immediately), and only some of those: the scan can exhaust the cap,
-    or end early once no later level is in range.
+    RepresentsZ trees realize every target, so with no cap the search
+    never raises on them.  One-sided trees carry only targets of their
+    own sign (other signs raise immediately), and only some of those:
+    with no cap a raise is proven absence.  A level_cap, when given, is a
+    work budget: the search raises once the scan would pass it.
     """
     cls = classify(t)
     if cls is TreeClass.POSITIVE_SIDE and s.sign() <= 0:
@@ -312,11 +319,10 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int = DEFAULT_LEVEL_CAP) -> 
     if cls is TreeClass.NONPOSITIVE_SIDE and s.sign() >= 0:
         raise ValueError(f"tree {t} is {cls.value}: it carries no branch for {s}")
     shift, (t0, t1) = (0, (0, 0)) if s.is_zero() else _row_alignment(s)
-    found = first_witness(t1 - t0, 2 * t0 + 1 - t1, t, level_cap - 1)
+    found = first_witness(t1 - t0, 2 * t0 + 1 - t1, t, None if level_cap is None else level_cap - 1)
     if found is None:
-        raise ValueError(
-            f"no occurrence of {s} in {t} within level cap {level_cap} (last level tried {level_cap})"
-        )
+        within = "" if level_cap is None else f" within level cap {level_cap}"
+        raise ValueError(f"no occurrence of {s} in {t}{within}")
     level, pos = found
     return Occurrence(level + 1, u(pos), (t0, t1), shift, True)
 

@@ -247,7 +247,7 @@ def check_classification() -> list[dict]:
 SAMPLE_FULL_TREES = (FibTree(0, 1), FibTree(1, 1), FibTree(-1, 2), FibTree(1, 0))
 
 
-def check_find_sequence(seed_bound: int = 10, cap: int = 60, replay: int = 10) -> list[dict]:
+def check_find_sequence(seed_bound: int = 10, replay: int = 10) -> list[dict]:
     """Every small seed is located in each sample tree, the branch replays, and its root is primitive.
 
     A primitive node is a u-node under a u-node: its parent's position
@@ -259,7 +259,7 @@ def check_find_sequence(seed_bound: int = 10, cap: int = 60, replay: int = 10) -
             for d in range(-seed_bound, seed_bound + 1):
                 s = FibSeq(c, d)
                 try:
-                    occ = find_sequence(t, s, level_cap=cap)
+                    occ = find_sequence(t, s)
                     got = branch_sequence(t, NodeRef(occ.level, occ.pos), replay)
                 except ValueError as exc:
                     failures.append(_fail("find-sequence", f"{t} {s}: {exc}"))
@@ -391,7 +391,10 @@ def word_by_upward_walk(level: int, pos: int) -> MapWord:
 
 
 def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
-    """is_subtree agrees with scanning rule-built levels for the witness node.
+    """is_subtree, with no cap, agrees with scanning rule-built levels to level cap for the witness node.
+
+    Every decided witness on the default +-4 grid sits at level 8 or
+    less, inside the scan; one past it would show as a failure.
 
     The scan itself, `u_nodes`, is first held against the closed forms:
     the u positions of each level, and at each the node label, the parent
@@ -425,7 +428,7 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
         for n, _, label, above_label, _ in scanned:
             first.setdefault((label, above_label), n)
         for child in trees:
-            witness = is_subtree(child, parent, level_cap=cap)
+            witness = is_subtree(child, parent)
             brute = 0 if child == parent else first.get((child.a, child.b - child.a))
             got = witness.level if witness else None
             if got != brute:
@@ -435,14 +438,14 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
     return failures
 
 
-def check_order_antisymmetry(grid: int = 6, cap: int = 15) -> list[dict]:
+def check_order_antisymmetry(grid: int = 6) -> list[dict]:
     failures = []
     trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
     contains = {}
     for x in trees:
         for y in trees:
             if x != y:
-                contains[(x, y)] = is_subtree(y, x, level_cap=cap) is not None
+                contains[(x, y)] = is_subtree(y, x) is not None
     for x in trees:
         for y in trees:
             if x != y and contains[(x, y)] and contains[(y, x)]:
@@ -482,7 +485,7 @@ def check_order_map_consistency(depth: int = 6) -> list[dict]:
             for atoms in product((Atom.L, Atom.R), repeat=length):
                 w = MapWord(atoms)
                 child = subtree_at(t, w)
-                if is_subtree(child, t, level_cap=2 * depth + 2) is None:
+                if is_subtree(child, t) is None:
                     failures.append(_fail("map-consistency", f"{t} via {w} -> {child}"))
     return failures
 
@@ -512,7 +515,7 @@ def check_lub(depth: int = 4, grid: int = 3) -> list[dict]:
 
     def inside(y: tuple[int, int], x: tuple[int, int]) -> bool:
         if (y, x) not in memo:
-            memo[y, x] = is_subtree(FibTree(*y), FibTree(*x), 4 * depth + 2) is not None
+            memo[y, x] = is_subtree(FibTree(*y), FibTree(*x)) is not None
         return memo[y, x]
 
     for i, t1 in enumerate(trees):
@@ -551,7 +554,7 @@ def check_order_sum_incompatibility() -> list[dict]:
         failures.append(_fail("sum-incompat", "F[0,0] not inside F[0,1]"))
     if is_subtree(FibTree(0, 0), FibTree(1, 1)) is None:
         failures.append(_fail("sum-incompat", "F[0,0] not inside F[1,1]"))
-    if is_subtree(FibTree(0, 0), FibTree(1, 2), level_cap=40) is not None:
+    if is_subtree(FibTree(0, 0), FibTree(1, 2)) is not None:
         failures.append(_fail("sum-incompat", "F[0,0] inside F[1,2]"))
     return failures
 
@@ -593,9 +596,7 @@ def check_hofstadter(levels: int = 10, g_max: int = 10**4) -> list[dict]:
     return failures
 
 
-def check_wythoff_array(
-    rows: int = 40, cols: int = 10, cover: int = 100, locate_rows: int = 10, locate_cap: int = 30
-) -> list[dict]:
+def check_wythoff_array(rows: int = 40, cols: int = 10, cover: int = 100, locate_rows: int = 10) -> list[dict]:
     failures = []
     arr = wythoff_array(rows, cols)
     if arr[0][:6] != (1, 2, 3, 5, 8, 13):
@@ -618,7 +619,7 @@ def check_wythoff_array(
     for j in range(locate_rows):
         s = FibSeq(*arr[j][:2])
         try:
-            occ = find_sequence(t, s, level_cap=locate_cap)
+            occ = find_sequence(t, s)
         except ValueError as exc:
             failures.append(_fail("array-as-branches", f"row {j + 1}: {exc}"))
             continue

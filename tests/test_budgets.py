@@ -1,4 +1,4 @@
-"""Stated budgets, asserted: the worst argv inside an output bound runs as a process.
+"""Stated budgets, asserted: the worst argv inside a bound runs as a process.
 
 Each row runs `python -m fibtree` as a child process under an address-space
 limit (set in the child only) and a timeout, asserts exit 0 and the size of
@@ -42,3 +42,23 @@ def test_tree_dump_at_its_bound(fmt, size):
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert proc.stderr.decode().count("\n") == 1 and proc.stderr.startswith(b"error: --levels 25: nodes")
+
+
+@pytest.mark.parametrize(
+    "argv, size, past, err",
+    [
+        # 2,001,000 atoms in the words of F[1,2] at the depth cap: about 68 MiB peak RSS
+        ("self-contain --id 1,2 --depth 2000", 10_009_091, "self-contain --id 1,2 --depth 2001", "error: --depth 2001"),
+        # 8,469 numbers of at most 590 digits, 4,996,710 by the output bound's count: about 23 MiB
+        ("hofstadter --levels 2822", 1_770_627, "hofstadter --levels 2823", "error: --levels 2823: labels"),
+    ],
+    ids=["self-contain", "hofstadter"],
+)
+def test_argv_at_its_bound(argv, size, past, err):
+    proc = _fibtree(*argv.split())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout) == size
+    proc = _fibtree(*past.split())
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().count("\n") == 1 and proc.stderr.decode().startswith(err)

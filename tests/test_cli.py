@@ -15,7 +15,7 @@ import fibtree.tree
 from fibtree.cli import run
 from fibtree.represent import find_interval_level, find_sequence
 from fibtree.tree import FibTree
-from fibtree.wythoff import FibSeq
+from fibtree.wythoff import FibSeq, u
 from test_warray import g_decimal_oracle
 
 
@@ -461,7 +461,36 @@ def test_tree_rejects_negative_levels(capsys, fmt):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: level must be >= 0, got -3\n"
+    assert captured.err == "error: --levels must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("subtree --child 0,1 --parent 0,1 --cap -1", "--cap must be >= 0, got -1"),
+        ("find-seq --id 0,1 --seq 5,8 --cap -1", "--cap must be >= 0, got -1"),
+        ("lub --t1 -1,2 --t2 -3,5 --depth 0", "--depth must be >= 1, got 0"),
+        ("self-contain --id 1,2 --depth -1", "--depth must be >= 1, got -1"),
+        ("hofstadter --levels -1", "--levels must be >= 0, got -1"),
+    ],
+)
+def test_sizing_flag_below_its_least_value_names_the_flag(capsys, argv, err):
+    code = run(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_searches_decide_with_no_cap(capsys):
+    # a small guest of the strip tree F[1 - u(b), b] sits about log_phi(b) levels down, past any fixed default cap
+    b = 10**18 + 7
+    host = f"{1 - u(b)},{b}"
+    code, out = run_json(capsys, ["subtree", "--child", "5,8", "--parent", host])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["contains"] and result["cap"] is None and result["witness"]["level"] == 91
+    code, out = run_json(capsys, ["find-seq", "--id", host, "--seq", "5,8"])
+    assert code == 0 and json.loads(out)["result"]["level"] == 93
 
 
 # Full stdout of one argv per subcommand, per tree format and per array
@@ -550,7 +579,7 @@ digraph "F[0,1]" {
     (
         "subtree --child 1,2 --parent 0,1",
         0,
-        '{"command": "subtree", "result": {"cap": 30, "contains": true, "witness": {"level": 2, "pos": 3, "word": ["R"]}}, "tool_version": "*"}\n',
+        '{"command": "subtree", "result": {"cap": null, "contains": true, "witness": {"level": 2, "pos": 3, "word": ["R"]}}, "tool_version": "*"}\n',
     ),
     (
         "subtree --child 5,8 --parent 0,1 --cap 9007199254740993",

@@ -2,11 +2,13 @@
 
 The test runs once per subcommand of `cli._COMMANDS`, and Hypothesis draws
 `DRAWS` argvs for each, so every subcommand gets the same share whatever
-the strategies look like.  It draws a value for each flag.  Every pair
-flag draws small integers or 4,000-digit ones, or a tree F[1 - u(b), b]
-of the representing strip with a 4,000-digit b, where `subtree` and
-`find-seq` scan past thousands of levels in range before a small guest
-can sit; one pair in ten is malformed (exit 2).  Each flag that sizes
+the strategies look like.  It draws a value for each flag and leaves
+each optional flag out half the time, so `subtree` and `find-seq` also
+run with no `--cap`, where the scans decide.  Every pair flag draws
+small integers or 4,000-digit ones, or a tree F[1 - u(b), b] of the
+representing strip with a 4,000-digit b, where `subtree` and `find-seq`
+scan past thousands of levels in range before a small guest can sit;
+one pair in ten is malformed (exit 2).  Each flag that sizes
 levels, depths, rows or columns is drawn from a cheap range below its
 cap or from above the cap, where the command must refuse before any
 work.  Every table is refused past one output bound, decided from its
@@ -72,8 +74,8 @@ def argvs(draw, name: str) -> list[str]:
     _, flags, _ = cli._COMMANDS[name]
     values = {}
     for flag, options in flags:
-        if options.get("default") is not None and draw(st.booleans()):
-            continue  # leave the default
+        if not options.get("required") and draw(st.booleans()):
+            continue  # leave the flag out
         if options.get("type") is cli._pair:
             values[flag] = "1;2" if draw(st.integers(0, 9)) == 0 else draw(PAIR)
         elif "choices" in options:
@@ -99,9 +101,9 @@ FIXED = {
         ["tree", "--id", "0,1", "--levels", "25", "--format", "json"],
         ["tree", "--id", f"{10**3999 + 12345},{-7 * 10**3999}", "--levels", "30", "--format", "ascii"],
     ],
-    # witnesses at levels 19,139 and 19,141
-    "subtree": [["subtree", "--child", "5,8", "--parent", "{},{}".format(*STRIP_TREES[0]), "--cap", "1000000"]],
-    "find-seq": [["find-seq", "--id", "{},{}".format(*STRIP_TREES[0]), "--seq", "5,8", "--cap", "1000000"]],
+    # witnesses at levels 19,139 and 19,141, found with no cap
+    "subtree": [["subtree", "--child", "5,8", "--parent", "{},{}".format(*STRIP_TREES[0])]],
+    "find-seq": [["find-seq", "--id", "{},{}".format(*STRIP_TREES[0]), "--seq", "5,8"]],
 }
 
 

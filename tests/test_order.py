@@ -351,10 +351,10 @@ def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
     monkeypatch.setattr(represent, "_sign", counting(represent._sign))
     known = {(c, d) for c in range(-30, 31) for d in range(-30, 31)}
     misses = [(7, 4)] + [cd for cd in sorted(known) if is_subtree(FibTree(*cd), T01, 40) is None][::37]
-    for c, d in misses:
+    for (c, d), cap in product(misses, (5000, None)):
         calls = 0
-        assert is_subtree(FibTree(c, d), T01, level_cap=5000) is None
-        assert calls <= 64, (c, d, calls)
+        assert is_subtree(FibTree(c, d), T01, level_cap=cap) is None
+        assert calls <= 64, (c, d, cap, calls)
 
 
 def test_is_subtree_hit_at_the_first_level_in_range_makes_no_u_call(monkeypatch):

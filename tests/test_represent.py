@@ -201,6 +201,20 @@ def test_find_sequence_matches_reference_scan_on_thousand_digit_labels():
     _assert_branch(T01, s, occ)
 
 
+@pytest.mark.parametrize("digits, trees", [(10, 20), (100, 20), (1000, 20), (4000, 8)])
+def test_find_sequence_never_raises_on_representing_trees(digits, trees):
+    # every RepresentsZ tree realizes every sequence, so with no cap the search always finds one;
+    # a + b*phi lies in (0, phi^3) for four or five a next to -u(b)
+    rng = random.Random(digits)
+    for _ in range(trees):
+        b = rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits)
+        a = rng.choice([x for x in range(-u(b) - 2, -u(b) + 6) if classify(FibTree(x, b)) is TreeClass.REPRESENTS_Z])
+        t = FibTree(a, b)
+        bound = 10 ** rng.choice((1, 10, digits))
+        s = FibSeq(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        _assert_branch(t, s, find_sequence(t, s), terms=4)
+
+
 def test_find_interval_level_rejects():
     with pytest.raises(ValueError, match="PositiveSide"):
         find_interval_level(T12, 0, 1)
@@ -272,9 +286,11 @@ def test_find_sequence_sign_mismatch_raises():
 
 
 def test_find_sequence_cap_exhausted_raises():
-    # F[3,3] sits past phi^3 and does not carry the plain Fibonacci branch
+    # F[3,3] sits past phi^3 and does not carry the plain Fibonacci branch: with no cap that is proven
     with pytest.raises(ValueError, match="level cap"):
         find_sequence(FibTree(3, 3), FibSeq(0, 1), level_cap=40)
+    with pytest.raises(ValueError, match=r"^no occurrence of F\[0,1\] in F\[3,3\]$"):
+        find_sequence(FibTree(3, 3), FibSeq(0, 1))
 
 
 def test_find_sequence_main_branch_of_plus_tree_is_level_one():
@@ -430,11 +446,13 @@ def test_find_sequence_one_sided_trees_match_reference_scan():
             s = FibSeq(c, d)
             if s.sign() * (1 if cls is TreeClass.POSITIVE_SIDE else -1) <= 0:
                 continue  # a domain error, raised before any scan
-            for cap in (3, 60, 700):
-                want = _reference_find_sequence(t, s, cap)
+            # with no cap the search decides: these seeds sit, if at all, well before level 700
+            for cap in (3, 60, 700, None):
+                want = _reference_find_sequence(t, s, cap or 700)
                 got = _outcome(find_sequence, t, s, cap)
                 if want is None:
-                    assert got == (ValueError, f"no occurrence of {s} in {t} within level cap {cap} (last level tried {cap})")
+                    within = "" if cap is None else f" within level cap {cap}"
+                    assert got == (ValueError, f"no occurrence of {s} in {t}{within}")
                 else:
                     assert got == want
                     _assert_branch(t, s, got)
@@ -448,7 +466,7 @@ def test_find_sequence_cap_below_jump_target_keeps_error_text():
     for cap in (occ.level - 1, 60, 0):
         with pytest.raises(ValueError) as exc:
             find_sequence(T01, s, level_cap=cap)
-        assert str(exc.value) == f"no occurrence of {s} in {T01} within level cap {cap} (last level tried {cap})"
+        assert str(exc.value) == f"no occurrence of {s} in {T01} within level cap {cap}"
 
 
 def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
@@ -469,11 +487,12 @@ def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
     monkeypatch.setattr(represent, "_sign", counting(represent._sign))
     rng = random.Random(36)
     for _ in range(3):
-        calls = 0
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
-        occ = find_sequence(T01, s, level_cap=20200)
-        assert occ.level > 9000
-        assert calls <= 64, calls
+        for cap in (20200, None):
+            calls = 0
+            occ = find_sequence(T01, s, level_cap=cap)
+            assert occ.level > 9000
+            assert calls <= 64, calls
 
 
 def _count_u(monkeypatch) -> list[int]:
@@ -519,14 +538,18 @@ def test_strip_tree_scans_start_where_the_guest_can_sit(monkeypatch, b, subtree_
     monkeypatch.setattr(represent, "_edges", lambda t, n: edges.append(n) or real_edges(t, n))
     monkeypatch.setattr(represent, "_sign", lambda a, b: signs.append(a) or real_sign(a, b))
     strip = FibTree(1 - u(b), b)
-    w = is_subtree(FibTree(5, 8), strip, 10**6)
-    assert w.level == subtree_level
-    assert calls == [] and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
-    edges.clear()
-    signs.clear()
-    occ = find_sequence(strip, FibSeq(5, 8), 10**6)
-    assert occ.level == subtree_level + 2
-    assert len(calls) == 1 and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
+    for cap in (10**6, None):
+        calls.clear()
+        edges.clear()
+        signs.clear()
+        w = is_subtree(FibTree(5, 8), strip, cap)
+        assert w.level == subtree_level
+        assert calls == [] and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
+        edges.clear()
+        signs.clear()
+        occ = find_sequence(strip, FibSeq(5, 8), cap)
+        assert occ.level == subtree_level + 2
+        assert len(calls) == 1 and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
 
 
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
