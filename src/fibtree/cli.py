@@ -287,13 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_pair_flags(argv: list[str]) -> list[str]:
-    # argparse reads "-1,2" as an option; fold pair values into flag=value.
+    # argparse reads "-1,2" as an option; fold pair values into flag=value, but never a following "--flag".
     pair_flags = {flag for _, flags, _ in _COMMANDS.values() for flag, options in flags if options.get("type") is _pair}
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in pair_flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in pair_flags and i + 1 < len(argv) and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

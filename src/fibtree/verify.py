@@ -60,8 +60,8 @@ def _fail(check: str, detail: str) -> dict:
 # ---------------------------------------------------------------- labels
 
 
-def check_consecutive_labels(grid: int = 5, max_level: int = 20) -> list[dict]:
-    """Rule-built levels equal the closed-form consecutive interval exactly.
+def check_consecutive_labels(max_level: int = 20) -> list[dict]:
+    """Rule-built levels 0..max_level of the 121 trees with |a|, |b| <= 5 equal the closed-form intervals exactly.
 
     Also checks that node_label's interval form lo + pos - 1 equals the
     Wythoff form lo - 1 + u(u_count(pos)) or lo - 1 + v(v_count(pos)):
@@ -79,25 +79,17 @@ def check_consecutive_labels(grid: int = 5, max_level: int = 20) -> list[dict]:
         if via_wythoff != pos:
             failures.append(_fail("wythoff-labels", f"position {pos}: Wythoff form gives {via_wythoff}"))
             break
-    for a in range(-grid, grid + 1):
-        for b in range(-grid, grid + 1):
-            t = FibTree(a, b)
-            levels = build_levels(t, max_level)
-            for n, row in enumerate(levels):
-                labels = [node[0] for node in row]
-                lo, hi = t.lo(n), t.hi(n)
-                if labels != list(range(lo, hi + 1)):
-                    failures.append(
-                        _fail(
-                            "consecutive-labels",
-                            f"{t} level {n}: rules give {labels[:4]}.., interval [{lo}..{hi}]",
-                        )
-                    )
-                letters = "".join(node[1] for node in row)
-                if letters != word(n):
-                    failures.append(
-                        _fail("level-pattern", f"{t} level {n}: pattern mismatch")
-                    )
+    for a, b in product(range(-5, 6), repeat=2):
+        t = FibTree(a, b)
+        for n, row in enumerate(build_levels(t, max_level)):
+            labels = [node[0] for node in row]
+            lo, hi = t.lo(n), t.hi(n)
+            if labels != list(range(lo, hi + 1)):
+                failures.append(
+                    _fail("consecutive-labels", f"{t} level {n}: rules give {labels[:4]}.., interval [{lo}..{hi}]")
+                )
+            if "".join(node[1] for node in row) != word(n):
+                failures.append(_fail("level-pattern", f"{t} level {n}: pattern mismatch"))
     return failures
 
 
@@ -132,10 +124,10 @@ def check_table_fixture() -> list[dict]:
     return failures
 
 
-def check_wythoff_identities(n_id: int = 10**4, n_oracle: int = 10**6) -> list[dict]:
-    """v = u + n and v = u(u(n)) + 1 on |n| <= n_id; Beatty floor vs decimal oracle."""
+def check_wythoff_identities() -> list[dict]:
+    """v = u + n and v = u(u(n)) + 1 on |n| <= 10^4; Beatty floor vs decimal oracle on 1 <= |n| <= 10^6."""
     failures = []
-    for n in range(-n_id, n_id + 1):
+    for n in range(-10**4, 10**4 + 1):
         un = u(n)
         if v(n) != un + n:
             failures.append(_fail("v-from-u", f"n={n}"))
@@ -143,19 +135,20 @@ def check_wythoff_identities(n_id: int = 10**4, n_oracle: int = 10**6) -> list[d
         if v(n) != u(un) + 1:
             failures.append(_fail("v-from-uu", f"n={n}"))
             break
-    for n in range(1, n_id + 1):
+    for n in range(1, 10**4 + 1):
         if u(-n) != -u(n) - 1 or v(-n) != -v(n) - 1:
             failures.append(_fail("reflection", f"n={n}"))
             break
-    for n in range(1, n_oracle + 1):
+    for n in range(1, 10**6 + 1):
         if u(n) != beatty_oracle(n) or u(-n) != beatty_oracle(-n):
             failures.append(_fail("beatty-oracle", f"n={n}: u={u(n)} oracle={beatty_oracle(n)}"))
             break
     return failures
 
 
-def check_complementarity(limit: int = 10**5) -> list[dict]:
-    """Each positive integer <= limit is hit by exactly one of u, v on positive ranks."""
+def check_complementarity() -> list[dict]:
+    """Each positive integer <= 10^5 is hit by exactly one of u, v on positive ranks."""
+    limit = 10**5
     seen = bytearray(limit + 1)
     failures = []
     n = 1
@@ -177,14 +170,13 @@ def check_complementarity(limit: int = 10**5) -> list[dict]:
 # ----------------------------------------------------------------- group
 
 
-def check_group_laws(samples: int = 1000, bound: int = 10**6, seed: int = 20260808) -> list[dict]:
+def check_group_laws() -> list[dict]:
+    """Commutativity, associativity, identity and inverse on 1,000 random triples, |a|, |b| <= 10^6, seed 20260808."""
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(20260808)
     zero = FibTree(0, 0)
-    for _ in range(samples):
-        t1 = FibTree(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        t2 = FibTree(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        t3 = FibTree(rng.randint(-bound, bound), rng.randint(-bound, bound))
+    for _ in range(1000):
+        t1, t2, t3 = (FibTree(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(3))
         if tree_sum(t1, t2) != tree_sum(t2, t1):
             failures.append(_fail("commutativity", f"{t1} {t2}"))
         if tree_sum(tree_sum(t1, t2), t3) != tree_sum(t1, tree_sum(t2, t3)):
@@ -196,16 +188,19 @@ def check_group_laws(samples: int = 1000, bound: int = 10**6, seed: int = 202608
     return failures
 
 
-def check_superposition(pairs: int = 20, levels: int = 12, seed: int = 97) -> list[dict]:
-    """Rule-built levels added node by node, minus those of the base tree F[0,0], are the sum tree's."""
+def check_superposition() -> list[dict]:
+    """Rule-built levels added node by node, minus those of the base tree F[0,0], are the sum tree's.
+
+    20 random pairs with |a|, |b| <= 50, seed 97, over levels 0..12.
+    """
     failures = []
-    rng = random.Random(seed)
-    base = build_levels(FibTree(0, 0), levels)
-    for _ in range(pairs):
+    rng = random.Random(97)
+    base = build_levels(FibTree(0, 0), 12)
+    for _ in range(20):
         t1 = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
         t2 = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
-        built1, built2, summed = (build_levels(t, levels) for t in (t1, t2, tree_sum(t1, t2)))
-        for n in range(levels + 1):
+        built1, built2, summed = (build_levels(t, 12) for t in (t1, t2, tree_sum(t1, t2)))
+        for n in range(13):
             added = [x[0] + y[0] - z[0] for x, y, z in zip(built1[n], built2[n], base[n])]
             labels = [node[0] for node in summed[n]]
             if added != labels:
@@ -247,38 +242,37 @@ def check_classification() -> list[dict]:
 SAMPLE_FULL_TREES = (FibTree(0, 1), FibTree(1, 1), FibTree(-1, 2), FibTree(1, 0))
 
 
-def check_find_sequence(seed_bound: int = 10, replay: int = 10) -> list[dict]:
-    """Every small seed is located in each sample tree, the branch replays, and its root is primitive.
+def check_find_sequence() -> list[dict]:
+    """Every seed |c|, |d| <= 10 is located in each sample tree, 10 branch terms replay, and its root is primitive.
 
     A primitive node is a u-node under a u-node: its parent's position
     u_count(pos) carries a u.
     """
     failures = []
     for t in SAMPLE_FULL_TREES:
-        for c in range(-seed_bound, seed_bound + 1):
-            for d in range(-seed_bound, seed_bound + 1):
-                s = FibSeq(c, d)
-                try:
-                    occ = find_sequence(t, s)
-                    got = branch_sequence(t, NodeRef(occ.level, occ.pos), replay)
-                except ValueError as exc:
-                    failures.append(_fail("find-sequence", f"{t} {s}: {exc}"))
-                    continue
-                want = [s.term(occ.shift + k) for k in range(replay)]
-                if got != want:
-                    failures.append(_fail("find-sequence-replay", f"{t} {s}: {got} vs {want}"))
-                if not occ.primitive or letter_at(u_count(occ.pos)) != U:
-                    failures.append(_fail("find-sequence-primitive", f"{t} {s}: node at {occ} is not primitive"))
+        for c, d in product(range(-10, 11), repeat=2):
+            s = FibSeq(c, d)
+            try:
+                occ = find_sequence(t, s)
+                got = branch_sequence(t, NodeRef(occ.level, occ.pos), 10)
+            except ValueError as exc:
+                failures.append(_fail("find-sequence", f"{t} {s}: {exc}"))
+                continue
+            want = [s.term(occ.shift + k) for k in range(10)]
+            if got != want:
+                failures.append(_fail("find-sequence-replay", f"{t} {s}: {got} vs {want}"))
+            if not occ.primitive or letter_at(u_count(occ.pos)) != U:
+                failures.append(_fail("find-sequence-primitive", f"{t} {s}: node at {occ} is not primitive"))
     return failures
 
 
-def check_zero_occurrences(cap: int = 15) -> list[dict]:
+def check_zero_occurrences() -> list[dict]:
+    """The zero sequence occurs once in each sample tree, counted over rule-built levels 0..15."""
     failures = []
-    zero = FibSeq(0, 0)
     for t in SAMPLE_FULL_TREES:
-        n = count_occurrences(t, zero, cap)
+        n = count_occurrences(t, FibSeq(0, 0), 15)
         if n != 1:
-            failures.append(_fail("zero-count", f"{t}: {n} occurrences up to level {cap}"))
+            failures.append(_fail("zero-count", f"{t}: {n} occurrences up to level 15"))
     return failures
 
 
@@ -326,28 +320,31 @@ def verify_lemma_shift(s: FibSeq, i: int, n_max: int) -> int:
     return last_bad + 1
 
 
-def check_lemma_witnesses(
-    pairs: int = 50, n_max: int = 30, zero_trees: int = 20, zero_window: int = 40, seed: int = 11
-) -> list[dict]:
-    """Shift-identity stabilization, and uniqueness of the zero-pair level."""
+def check_lemma_witnesses() -> list[dict]:
+    """Shift-identity stabilization, and uniqueness of the zero-pair level; seed 11.
+
+    The shift identity on 50 random seeds |c|, |d| <= 20 and shifts
+    |i| <= 50 stabilizes by n = 30; each of 20 random RepresentsZ trees
+    with |a|, |b| <= 50 holds the zero pair at one level of 1..40.
+    """
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(11)
     done = 0
-    while done < pairs:
+    while done < 50:
         s = FibSeq(rng.randint(-20, 20), rng.randint(-20, 20))
         i = rng.randint(-50, 50)
         if s.is_zero() or i == 0:
             continue
         done += 1
         try:
-            n1 = verify_lemma_shift(s, i, n_max)
+            n1 = verify_lemma_shift(s, i, 30)
         except ValueError as exc:
             failures.append(_fail("lemma-shift", f"{s} i={i}: {exc}"))
             continue
-        if not 0 <= n1 <= n_max:
+        if not 0 <= n1 <= 30:
             failures.append(_fail("lemma-shift", f"{s} i={i}: n1={n1} out of range"))
     done = 0
-    while done < zero_trees:
+    while done < 20:
         t = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
         if classify(t) is not TreeClass.REPRESENTS_Z:
             continue
@@ -355,7 +352,7 @@ def check_lemma_witnesses(
         edge = FibSeq(t.a - 1, t.b - 2)
         hits = [
             n
-            for n in range(1, zero_window + 1)
+            for n in range(1, 41)
             if 1 <= 1 - edge.term(n - 2) <= fib(n)
             and u(1 - edge.term(n - 2)) + edge.term(n - 1) == 0
         ]
@@ -390,11 +387,11 @@ def word_by_upward_walk(level: int, pos: int) -> MapWord:
     return MapWord(tuple(atoms))
 
 
-def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
-    """is_subtree, with no cap, agrees with scanning rule-built levels to level cap for the witness node.
+def check_order_brute_force() -> list[dict]:
+    """is_subtree, with no cap, agrees with scanning rule-built levels 1..12 for the witness node.
 
-    Every decided witness on the default +-4 grid sits at level 8 or
-    less, inside the scan; one past it would show as a failure.
+    Every decided witness among the 81 trees with |a|, |b| <= 4 sits at
+    level 8 or less, inside the scan; one past it would show as a failure.
 
     The scan itself, `u_nodes`, is first held against the closed forms:
     the u positions of each level, and at each the node label, the parent
@@ -402,11 +399,11 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
     is held against the upward walk, `word_by_upward_walk`.
     """
     failures = []
-    trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
+    trees = [FibTree(a, b) for a, b in product(range(-4, 5), repeat=2)]
     # (level, pos, parent letter) of every u position: the same in every tree
     positions = [
         (n, pos, letter_at(u_count(pos)))
-        for n in range(1, cap + 1)
+        for n in range(1, 13)
         for pos in range(1, fib(n + 2) + 1)
         if letter_at(pos) == U
     ]
@@ -415,7 +412,7 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
         if got != want:
             failures.append(_fail("witness-word", f"u-node ({n}, {pos}): word {got}, upward walk {want}"))
     for parent in trees:
-        scanned = list(u_nodes(parent, cap))
+        scanned = list(u_nodes(parent, 12))
         closed = [
             (n, pos, node_label(parent, NodeRef(n, pos))[0], parent_label(parent, NodeRef(n, pos)), above)
             for n, pos, above in positions
@@ -438,50 +435,46 @@ def check_order_brute_force(grid: int = 4, cap: int = 12) -> list[dict]:
     return failures
 
 
-def check_order_antisymmetry(grid: int = 6) -> list[dict]:
+def check_order_antisymmetry() -> list[dict]:
+    """No two distinct trees of the 169 with |a|, |b| <= 6 contain each other."""
     failures = []
-    trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
-    contains = {}
-    for x in trees:
-        for y in trees:
-            if x != y:
-                contains[(x, y)] = is_subtree(y, x) is not None
-    for x in trees:
-        for y in trees:
-            if x != y and contains[(x, y)] and contains[(y, x)]:
-                failures.append(_fail("antisymmetry", f"{x} and {y} mutually contained"))
+    trees = [FibTree(a, b) for a, b in product(range(-6, 7), repeat=2)]
+    contains = {(x, y): is_subtree(y, x) is not None for x, y in product(trees, repeat=2) if x != y}
+    for x, y in product(trees, repeat=2):
+        if x != y and contains[(x, y)] and contains[(y, x)]:
+            failures.append(_fail("antisymmetry", f"{x} and {y} mutually contained"))
     return failures
 
 
-def check_self_containment(grid: int = 6, depth: int = 10) -> list[dict]:
-    """self_containment against every forward word up to depth, unpruned, on bare int pairs.
+def check_self_containment() -> list[dict]:
+    """self_containment of the 169 trees with |a|, |b| <= 6 against every forward word up to length 10, unpruned.
 
-    Layer k holds the values of all 2^k words of length k, ordered by
-    their atoms read as k bits (L = 0, R = 1, first atom highest), so
-    layer k + 1 is L, then R, applied to every value of layer k:
-    L(a, b) = (b - 1, a + b - 1), R(a, b) = (a + b, a + 2b).
+    Layer k holds the values, as bare int pairs, of all 2^k words of
+    length k, ordered by their atoms read as k bits (L = 0, R = 1, first
+    atom highest), so layer k + 1 is L, then R, applied to every value of
+    layer k: L(a, b) = (b - 1, a + b - 1), R(a, b) = (a + b, a + 2b).
     """
     failures = []
-    for a, b in product(range(-grid, grid + 1), repeat=2):
+    for a, b in product(range(-6, 7), repeat=2):
         want, layer = [], [(a, b)]
-        for k in range(1, depth + 1):
+        for k in range(1, 11):
             layer = [(y - 1, x + y - 1) for x, y in layer] + [(x + y, x + 2 * y) for x, y in layer]
             want += [
                 MapWord(tuple(Atom.R if i >> (k - 1 - j) & 1 else Atom.L for j in range(k)))
                 for i, z in enumerate(layer)
                 if z == (a, b)
             ]
-        got = self_containment(FibTree(a, b), depth)
+        got = self_containment(FibTree(a, b), 10)
         if got != want:
             failures.append(_fail("self-containment", f"F[{a},{b}]: {len(got)} words, enumeration {len(want)}"))
     return failures
 
 
-def check_order_map_consistency(depth: int = 6) -> list[dict]:
-    """Every forward word lands on an actual subtree of its source tree."""
+def check_order_map_consistency() -> list[dict]:
+    """Every forward word up to length 6 lands on an actual subtree of its source tree."""
     failures = []
     for t in (FibTree(0, 1), FibTree(1, 0), FibTree(-1, 2), FibTree(2, -1)):
-        for length in range(1, depth + 1):
+        for length in range(1, 7):
             for atoms in product((Atom.L, Atom.R), repeat=length):
                 w = MapWord(atoms)
                 child = subtree_at(t, w)
@@ -490,9 +483,10 @@ def check_order_map_consistency(depth: int = 6) -> list[dict]:
     return failures
 
 
-def check_lub(depth: int = 4, grid: int = 3) -> list[dict]:
-    """Three documented joins, then every pair of trees on the +-grid."""
+def check_lub() -> list[dict]:
+    """Three documented joins, then every pair of the 49 trees with |a|, |b| <= 3; search depth 4."""
     failures = []
+    depth = 4
     got = least_upper_bound(FibTree(-1, 2), FibTree(-3, 5), depth)
     if got != [FibTree(18, -10)]:
         failures.append(_fail("lub", f"join of F[-1,2], F[-3,5]: {[str(t) for t in got]}"))
@@ -504,7 +498,7 @@ def check_lub(depth: int = 4, grid: int = 3) -> list[dict]:
         failures.append(_fail("lub-reflexive", f"{t}"))
     # Every pair of the +-grid against ancestor sets built through GoldInt and
     # _apply_atom: the containment-minimal part of the first radius where they meet.
-    trees = [FibTree(a, b) for a, b in product(range(-grid, grid + 1), repeat=2)]
+    trees = [FibTree(a, b) for a, b in product(range(-3, 4), repeat=2)]
     rings = {}
     for t in trees:
         layer, rings[t] = [t.gold()], [{(t.a, t.b)}]
@@ -529,21 +523,23 @@ def check_lub(depth: int = 4, grid: int = 3) -> list[dict]:
     return failures
 
 
-def check_commutator(p_max: int = 6, q_max: int = 6, samples: int = 100, seed: int = 5) -> list[dict]:
-    """L^p R^q - R^q L^p is the constant phi^3 (phi^p - 1)(phi^2q - 1)."""
+def check_commutator() -> list[dict]:
+    """L^p R^q - R^q L^p is the constant phi^3 (phi^p - 1)(phi^2q - 1).
+
+    For 0 <= p, q <= 6, at 100 random points |a|, |b| <= 10^6, seed 5.
+    """
     failures = []
-    rng = random.Random(seed)
-    points = [GoldInt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(samples)]
+    rng = random.Random(5)
+    points = [GoldInt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(100)]
     one = GoldInt(1, 0)
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            lr = MapWord((Atom.L,) * p + (Atom.R,) * q)
-            rl = MapWord((Atom.R,) * q + (Atom.L,) * p)
-            want = GoldInt(1, 2) * (phi_pow(p) - one) * (phi_pow(2 * q) - one)
-            for z in points:
-                if lr.apply(z) - rl.apply(z) != want:
-                    failures.append(_fail("commutator", f"p={p} q={q} z={z}"))
-                    break
+    for p, q in product(range(7), repeat=2):
+        lr = MapWord((Atom.L,) * p + (Atom.R,) * q)
+        rl = MapWord((Atom.R,) * q + (Atom.L,) * p)
+        want = GoldInt(1, 2) * (phi_pow(p) - one) * (phi_pow(2 * q) - one)
+        for z in points:
+            if lr.apply(z) - rl.apply(z) != want:
+                failures.append(_fail("commutator", f"p={p} q={q} z={z}"))
+                break
     return failures
 
 
@@ -562,18 +558,19 @@ def check_order_sum_incompatibility() -> list[dict]:
 # ------------------------------------------------------------------ array
 
 
-def check_hofstadter(levels: int = 10, g_max: int = 10**4) -> list[dict]:
-    """The region's levels read 1, 2, 3, ...; g by its recursion equals the closed form and the parent labels of F[1,2].
+def check_hofstadter() -> list[dict]:
+    """The region's levels 0..10 read 1, 2, 3, ...; g by its recursion equals the closed form and the parent labels of F[1,2].
 
-    The recursion g(n) = n - g(g(n-1)) is built here bottom-up and never
-    goes through `hofstadter_g` or the u-count it equals.
+    The recursion g(n) = n - g(g(n-1)), for n <= 10^4, is built here
+    bottom-up and never goes through `hofstadter_g` or the u-count it equals.
     """
     failures = []
+    g_max = 10**4
     flat = []
-    for lo, hi in hofstadter_levels(levels):
+    for lo, hi in hofstadter_levels(10):
         flat.extend(range(lo, hi + 1))
-    if flat != list(range(1, fib(levels + 2) + 1)):
-        failures.append(_fail("hofstadter-concat", f"levels 0..{levels} misread"))
+    if flat != list(range(1, fib(12) + 1)):
+        failures.append(_fail("hofstadter-concat", "levels 0..10 misread"))
     recursion = [0]
     for n in range(1, g_max + 1):
         recursion.append(n - recursion[recursion[n - 1]])
@@ -596,9 +593,10 @@ def check_hofstadter(levels: int = 10, g_max: int = 10**4) -> list[dict]:
     return failures
 
 
-def check_wythoff_array(rows: int = 40, cols: int = 10, cover: int = 100, locate_rows: int = 10) -> list[dict]:
+def check_wythoff_array() -> list[dict]:
+    """The 40 x 10 array: first rows, distinct increasing entries, 1..100 covered, rows 1..10 as branches of F[1,2]."""
     failures = []
-    arr = wythoff_array(rows, cols)
+    arr = wythoff_array(40, 10)
     if arr[0][:6] != (1, 2, 3, 5, 8, 13):
         failures.append(_fail("array-row1", f"{arr[0][:6]}"))
     if arr[1][:5] != (4, 7, 11, 18, 29):
@@ -612,11 +610,11 @@ def check_wythoff_array(rows: int = 40, cols: int = 10, cover: int = 100, locate
     starts = [row[0] for row in arr]
     if any(starts[i] >= starts[i + 1] for i in range(len(starts) - 1)):
         failures.append(_fail("array-row-starts", "row starts not increasing"))
-    missing = set(range(1, cover + 1)) - set(flat)
+    missing = set(range(1, 101)) - set(flat)
     if missing:
         failures.append(_fail("array-cover", f"missing {sorted(missing)[:5]}"))
     t = FibTree(1, 2)
-    for j in range(locate_rows):
+    for j in range(10):
         s = FibSeq(*arr[j][:2])
         try:
             occ = find_sequence(t, s)
@@ -628,12 +626,11 @@ def check_wythoff_array(rows: int = 40, cols: int = 10, cover: int = 100, locate
     return failures
 
 
-def check_gold_sign_oracle(bound: int = 1000) -> list[dict]:
-    """`goldring._sign`, the sign body behind `gold_sign`, `classify` and every search, on int pairs."""
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if _sign(a, b) != gold_sign_oracle(a, b):
-                return [_fail("gold-sign-oracle", f"{a}{b:+d}*phi")]
+def check_gold_sign_oracle() -> list[dict]:
+    """`goldring._sign`, the sign body behind `gold_sign`, `classify` and every search, on int pairs |a|, |b| <= 1000."""
+    for a, b in product(range(-1000, 1001), repeat=2):
+        if _sign(a, b) != gold_sign_oracle(a, b):
+            return [_fail("gold-sign-oracle", f"{a}{b:+d}*phi")]
     return []
 
 

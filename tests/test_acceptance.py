@@ -1,4 +1,4 @@
-"""Acceptance gate: every check of `verify.SUITES` at the scale its signature states.
+"""Acceptance gate: every check of `verify.SUITES` at its fixed scale.
 
 The cases are read from the table, so a check added to a suite runs here
 with no edit.  Everything is exact integer arithmetic, so every

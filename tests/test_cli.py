@@ -369,6 +369,14 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_pair_flag_does_not_take_the_next_flag_as_its_value(capsys):
+    # "-1,2" is folded into its pair flag; "--t2" is a flag of its own, so --t1 has no value
+    assert run(["sum", "--t1", "--t2", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --t1: expected one argument" in captured.err
+
+
 def test_verify_suite_passes(capsys):
     code, out = run_json(capsys, ["verify", "--suite", "labels", "--max-level", "8"])
     assert code == 0

@@ -472,11 +472,12 @@ def test_self_containment_matches_unpruned_enumeration_in_the_strip():
 def test_self_containment_check_catches_a_dropped_tree(monkeypatch):
     from fibtree import verify
 
-    assert verify.check_self_containment(grid=2, depth=6) == []
+    # at the check's own scale: words up to length 10, so R^1 .. R^10 fix F[0,0]
+    assert verify.check_self_containment() == []
     real = verify.self_containment
     monkeypatch.setattr(verify, "self_containment", lambda t, depth: [] if t == T00 else real(t, depth))
-    failures = verify.check_self_containment(grid=2, depth=6)
-    assert [f["detail"] for f in failures] == ["F[0,0]: 0 words, enumeration 6"]
+    failures = verify.check_self_containment()
+    assert failures == [{"check": "self-containment", "detail": "F[0,0]: 0 words, enumeration 10"}]
 
 
 def test_lub_matches_ancestor_sets_rebuilt_per_radius():
@@ -604,13 +605,19 @@ def test_lub_of_a_comparable_pair_is_the_larger_tree():
 def test_order_brute_force_check_catches_a_dropped_u_node(monkeypatch):
     from fibtree import verify
 
-    assert verify.check_order_brute_force(grid=1, cap=10) == []
+    # at the check's own scale: the 81 trees with |a|, |b| <= 4, levels up to 12
+    assert verify.check_order_brute_force() == []
     real_u_nodes = verify.u_nodes
 
     def dropping(t, n):
         return (node for node in real_u_nodes(t, n) if node[:2] != (9, 4))
 
+    def record(t):
+        # the scan now gives the next u-node of level 9, (9, 6), where the closed form gives (9, 4)
+        nodes = list(real_u_nodes(t, 12))
+        i = [node[:2] for node in nodes].index((9, 4))
+        return {"check": "u-nodes", "detail": f"{t}: scan gives {nodes[i + 1]}, closed form {nodes[i]}"}
+
     monkeypatch.setattr(verify, "u_nodes", dropping)
-    failures = verify.check_order_brute_force(grid=1, cap=10)
-    assert len(failures) == 9
-    assert {f["check"] for f in failures} == {"u-nodes"}
+    failures = verify.check_order_brute_force()
+    assert failures == [record(FibTree(a, b)) for a, b in product(range(-4, 5), repeat=2)]

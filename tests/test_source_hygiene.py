@@ -7,10 +7,12 @@ Parses every module under src/fibtree with ast.  Only `verify.py` may use
 `decimal`: its oracles are the one sanctioned approximation of phi.  The
 searches in `represent.py` and `order.py` run on bare ints: they name no
 `GoldInt`.  Every cache is bounded: each `lru_cache` names a finite
-`maxsize`, and `functools.cache` is not used.
+`maxsize`, and `functools.cache` is not used.  The checks of
+`verify.SUITES` take no arguments but `check_consecutive_labels(max_level)`.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 import sys
@@ -114,3 +116,14 @@ def test_caches_are_bounded(path):
             if sizes and not (isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
                 unbounded.append((node.lineno, ast.unparse(node)))
     assert unbounded == []
+
+
+def test_verify_checks_run_at_one_fixed_scale():
+    # Each check states its grids, ranges, sample counts and seeds in its body; the CLI's
+    # --max-level is the one value any caller sets, on the tree-building check.
+    from fibtree.verify import SUITES
+
+    params = {
+        check.__name__: list(inspect.signature(check).parameters) for checks in SUITES.values() for check in checks
+    }
+    assert {name: p for name, p in params.items() if p} == {"check_consecutive_labels": ["max_level"]}
