@@ -18,12 +18,15 @@ takes O(bit length) levels to establish; a cap, when given, only bounds
 the levels scanned.  `self_containment` is the theorem itself: only
 F[1,2] and F[0,0] contain themselves, by the powers of L and of R.
 
-`least_upper_bound` is the one search that grows with 2^depth: it
-enumerates the inverse-map ancestors of both trees, up to 2^(r+1) bare
-int pairs per tree at radius r, so its cost doubles with each level of
-depth (a miss took about 1.5 ms at depth 10 and 30 ms at depth 14).  It
-returns the containment-minimal trees of the first radius where the two
-ancestor sets meet; an empty result bounds the search, it proves
+`least_upper_bound` enumerates the inverse-map ancestors of both trees,
+up to 2^(r+1) bare int pairs per tree at radius r, so a search that runs
+doubles its cost with each level of depth (a miss took about 1.5 ms at
+depth 10 and 30 ms at depth 14).  Most pairs with no common ancestor
+never run it: a conjugate-gap certificate, O(1) big-int operations at
+any label size, proves that the two trees meet at no radius, and the
+empty answer is then a proof.  Otherwise the search returns the
+containment-minimal trees of the first radius where the two ancestor
+sets meet; an empty result from it bounds the search, it proves
 nothing, and for a comparable pair that radius can stop short of the
 larger tree.
 """
@@ -32,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldring import Atom, MapWord, _fib_pair
+from .goldring import Atom, MapWord, _fib_pair, _fib_signed, _sign
 from .represent import first_witness
 from .tree import FibTree
+from .wythoff import LOG_PHI_2, delta_bits
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,41 @@ def _inverse_steps(front: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(b - a, a + 1) for a, b in front] + [(2 * a - b, b - a) for a, b in front]
 
 
+def _conjugate_gap(t: FibTree) -> tuple[int, int, int] | None:
+    """(side, x, y): sigma(t) lies on that side of I = [-1/phi^2, 0] at distance x + y*phi > 0, or None inside I."""
+    p, q = t.a + t.b, -t.b  # sigma(a + b*phi) = p + q*phi
+    if _sign(p, q) > 0:
+        return 1, p, q
+    if _sign(p + 2, q - 1) < 0:  # sigma(t) + 1/phi^2 < 0, with 1/phi^2 = 2 - phi
+        return -1, -p - 2, 1 - q
+    return None
+
+
+def _never_meet(t1: FibTree, t2: FibTree) -> bool:
+    """The conjugate-gap certificate of `least_upper_bound`: True proves that t1 and t2 have no common ancestor.
+
+    `delta_bits` gives log2 d2 and log2(d1 + c) within 2 each, so the
+    estimate of m is within 8 of the least m with phi^m*(d1 + c) >= d2,
+    and the two walks to it take O(1) steps of additions, at any size.
+    """
+    g1, g2 = _conjugate_gap(t1), _conjugate_gap(t2)
+    if g1 is None or g2 is None:
+        return False
+    (s1, x1, y1), (s2, x2, y2) = g1, g2
+    # log_phi(d2 / (d1 + c)) from bit lengths, with d1 + c = (x1 + 2) + (y1 - 1)*phi
+    m = (delta_bits(-y2, x2)[0] - delta_bits(1 - y1, x1 + 2)[0]) * LOG_PHI_2[0] // LOG_PHI_2[1]
+    f, g = _fib_signed(m - 1)  # phi^m = f + g*phi
+    p0, p1 = f * (x1 + 2) + g * (y1 - 1), f * (y1 - 1) + g * (x1 + y1 + 1)  # phi^m (d1 + c)
+    q0, q1 = f * x1 + g * y1, f * y1 + g * (x1 + y1)  # phi^m d1
+    while _sign(p0 - x2, p1 - y2) < 0:
+        m, p0, p1, q0, q1 = m + 1, p1, p0 + p1, q1, q0 + q1
+    while _sign(p1 - p0 - x2, p0 - y2) >= 0:
+        m, p0, p1, q0, q1 = m - 1, p1 - p0, p0, q1 - q0, q0
+    if (m - (s1 != s2)) & 1:
+        q0, q1 = q1, q0 + q1
+    return _sign(q0 - x2 - 2, q1 - y2 + 1) > 0  # phi^m d1 > d2 + c
+
+
 def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     """Nearest common ancestors found within the given inverse-word depth.
 
@@ -146,8 +185,34 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     the answer, but it can stop short of the larger tree of a comparable
     pair: F[163,264] sits inside F[-1,2] at level 12, yet at depth 8 the
     answer is [F[3,0]], met at radius 6 before F[-1,2] is reached at
-    radius 8.  An empty list means nothing was found within the depth,
-    not that no upper bound exists.
+    radius 8.
+
+    Before the search, a certificate decides most pairs that have no
+    common ancestor at any radius; for them the answer is [] at once,
+    the answer the search gives, and it proves that no upper bound
+    exists.  Let sigma be Galois conjugation (phi -> -1/phi), on int
+    pairs sigma(a, b) = (a + b, -b).  The forward maps L(z) = phi*z - phi^2
+    and R(z) = phi^2*z conjugate to contractions with ratios -1/phi and
+    1/phi^2, and both map I = [-1/phi^2, 0] into itself.  If t sits in x
+    by a forward word W of level n = #L + 2#R (so #L = n mod 2), then
+    sigma t = W'(sigma x), W' is a similarity with ratio (-1)^n phi^-n,
+    and W'(I) lies in I, an interval of length c = 1/phi^2 = 2 - phi.
+    With D = dist(sigma x, I) and d = dist(sigma t, I), the distance
+    phi^-n*D from sigma t to W'(I) is at least d and at most d + c, so
+    phi^n*d <= D <= phi^n*(d + c); and when d > 0, sigma x lies on the
+    side side(sigma t)*(-1)^n of I.  So when d1, d2 > 0 a common
+    ancestor needs an integer m = n1 - n2 with
+    - m = [side1 != side2] (mod 2),
+    - phi^m*d1 <= d2 + c,
+    - d2 <= phi^m*(d1 + c).
+    `_never_meet` finds the least m with phi^m*(d1 + c) >= d2, estimated
+    from bit lengths as in `wythoff.reference_index` and walked exactly
+    by one `_fib_signed` evaluation, additions and `_sign` tests; steps
+    to the right parity; and tests the one remaining inequality, which
+    only gets harder as m grows.  The search still runs when sigma t
+    lies in I (F[1,2], F[0,0], F[u(k), v(k)]) or when such an m exists.
+    An empty list from the search means nothing was found within the
+    depth, not that no upper bound exists.
 
     Each frontier is a list: radius d steps every identity of radius
     d - 1, the images W^-1(t) of the 2^(d-1) inverse words of that
@@ -166,6 +231,8 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if _never_meet(t1, t2):
+        return []
     front1, front2 = [(t1.a, t1.b)], [(t2.a, t2.b)]
     seen1, seen2 = set(front1), set(front2)
     for _ in range(depth):

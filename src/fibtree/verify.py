@@ -21,7 +21,7 @@ from itertools import product
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
 from .goldring import Atom, GoldInt, MapWord, _apply_atom, _sign, fib, phi_pow
-from .order import _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
+from .order import _never_meet, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
 from .tree import FibTree, NodeRef, branch_sequence, build_levels, children_labels, node_label, parent_label, u_nodes
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
@@ -484,9 +484,16 @@ def check_order_map_consistency() -> list[dict]:
 
 
 def check_lub() -> list[dict]:
-    """Three documented joins, then every pair of the 49 trees with |a|, |b| <= 3; search depth 4."""
+    """Three documented joins, then every pair of the 49 trees with |a|, |b| <= 3; search depth 4.
+
+    Each tree's ancestor rings are built through GoldInt and `_apply_atom`
+    to radius 8.  At depth 4 the answer must be the containment-minimal
+    part of the first radius where the rings meet (`lub-oracle`); and
+    every pair that the conjugate-gap certificate `order._never_meet`
+    decides must have disjoint rings at radius 8 (`lub-never-meet`).
+    """
     failures = []
-    depth = 4
+    depth, radius = 4, 8
     got = least_upper_bound(FibTree(-1, 2), FibTree(-3, 5), depth)
     if got != [FibTree(18, -10)]:
         failures.append(_fail("lub", f"join of F[-1,2], F[-3,5]: {[str(t) for t in got]}"))
@@ -496,15 +503,17 @@ def check_lub() -> list[dict]:
     t = FibTree(4, -3)
     if least_upper_bound(t, t, depth) != [t]:
         failures.append(_fail("lub-reflexive", f"{t}"))
-    # Every pair of the +-grid against ancestor sets built through GoldInt and
-    # _apply_atom: the containment-minimal part of the first radius where they meet.
     trees = [FibTree(a, b) for a, b in product(range(-3, 4), repeat=2)]
     rings = {}
     for t in trees:
         layer, rings[t] = [t.gold()], [{(t.a, t.b)}]
-        for _ in range(depth):
+        for _ in range(radius):
             layer = [_apply_atom(atom, z) for z in layer for atom in (Atom.LINV, Atom.RINV)]
             rings[t].append(rings[t][-1] | {(z.a, z.b) for z in layer})
+    for i, t1 in enumerate(trees):
+        for t2 in trees[i:]:
+            if _never_meet(t1, t2) and not rings[t1][radius].isdisjoint(rings[t2][radius]):
+                failures.append(_fail("lub-never-meet", f"{t1}, {t2}: decided apart, yet meet within radius {radius}"))
     memo: dict[tuple, bool] = {}  # (y, x) -> is y inside x, for this check only
 
     def inside(y: tuple[int, int], x: tuple[int, int]) -> bool:
@@ -514,7 +523,8 @@ def check_lub() -> list[dict]:
 
     for i, t1 in enumerate(trees):
         for t2 in trees[i + 1 :]:
-            common = next((c for c in map(set.intersection, rings[t1], rings[t2]) if c), set())
+            met = map(set.intersection, rings[t1][: depth + 1], rings[t2][: depth + 1])
+            common = next((c for c in met if c), set())
             want = [FibTree(*x) for x in sorted(common) if not any(y != x and inside(y, x) for y in common)]
             got = least_upper_bound(t1, t2, depth)
             if got != want:

@@ -51,15 +51,23 @@ def test_tree_dump_at_its_bound(fmt, size):
         ("self-contain --id 1,2 --depth 2000", 10_009_091, "self-contain --id 1,2 --depth 2001", "error: --depth 2001"),
         # 8,469 numbers of at most 590 digits, 4,996,710 by the output bound's count: about 23 MiB
         ("hofstadter --levels 2822", 1_770_627, "hofstadter --levels 2823", "error: --levels 2823: labels"),
-        # the join search at its depth cap, 16 radii with no meeting: about 0.4 s and 60 MiB peak RSS
+        # a miss at the join search's depth cap, decided by the conjugate-gap certificate before any radius:
+        # about 0.1 s and 16 MiB peak RSS
         (
             "lub --t1 100,-37 --t2 -50,90 --depth 16",
             80,
             "lub --t1 100,-37 --t2 -50,90 --depth 17",
             "error: --depth 17 exceeds the join search cap 16\n",
         ),
+        # a miss the certificate leaves open: the search runs all 16 radii, about 0.3 s and 60 MiB peak RSS
+        (
+            "lub --t1 13,104 --t2 104,117 --depth 16",
+            80,
+            "lub --t1 13,104 --t2 104,117 --depth 17",
+            "error: --depth 17 exceeds the join search cap 16\n",
+        ),
     ],
-    ids=["self-contain", "hofstadter", "lub"],
+    ids=["self-contain", "hofstadter", "lub", "lub-search"],
 )
 def test_argv_at_its_bound(argv, size, past, err):
     proc = _fibtree(*argv.split())

@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from fibtree import represent
+from fibtree import order, represent
 from fibtree.fibword import U
 from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib, fixed_point
-from fibtree.order import SubtreeWitness, _inverse_steps, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
+from fibtree.order import SubtreeWitness, _inverse_steps, _never_meet, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
 from fibtree.wythoff import u
 
@@ -592,6 +592,68 @@ def test_lub_list_frontiers_equal_set_frontiers():
         assert least_upper_bound(t1, t2, depth) == _set_frontier_lub(t1, t2, depth), (t1, t2, depth)
 
 
+@pytest.mark.parametrize("bound, radius, decided", [(3, 8, 756), (5, 11, 7206)])
+def test_lub_certificate_is_sound_and_symmetric(bound, radius, decided):
+    # every ordered pair of the grid; ancestor sets built once per tree, through GoldInt and _apply_atom
+    trees = [FibTree(a, b) for a, b in product(range(-bound, bound + 1), repeat=2)]
+    ancestors = {t: _reference_ancestors(t, radius) for t in trees}
+    apart = [(t1, t2) for t1, t2 in product(trees, repeat=2) if _never_meet(t1, t2)]
+    assert len(apart) == decided
+    for t1, t2 in apart:
+        assert _never_meet(t2, t1), (t1, t2)
+        assert ancestors[t1].isdisjoint(ancestors[t2]), (t1, t2)
+
+
+def _certificate_pairs(digits):
+    big = 10 ** (digits - 1)
+    rng = random.Random(digits)
+    pairs = [
+        (FibTree(big + 100, -37), FibTree(-50, big + 90)),
+        (FibTree(big + 100, -37), FibTree(3, -5)),  # m near -log_phi(big): thousands of levels at 4,000 digits
+        (FibTree(4, -7), FibTree(-big, big // 3)),
+        (FibTree(-big, 7), FibTree(5, 3 * big)),
+        (FibTree(u(big), u(big) + big), FibTree(-50, 90)),  # F[u(k), v(k)]: sigma t in I, not decided
+    ]
+    return pairs + [(FibTree(rng.randint(-big, big), rng.randint(-big, big)), FibTree(rng.randint(-9, 9), 5)) for _ in range(5)]
+
+
+@pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
+def test_lub_certificate_makes_one_doubling_at_any_size(monkeypatch, digits):
+    calls = {"_fib_signed": 0, "_sign": 0}
+
+    def counting(name):
+        real = getattr(order, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(order, name, counting(name))
+    for t1, t2 in _certificate_pairs(digits):
+        calls.update(_fib_signed=0, _sign=0)
+        _never_meet(t1, t2)
+        # the m estimate is within 8 of its walked value: a walk from m = 0 would make thousands of _sign calls
+        assert calls["_fib_signed"] <= 1 and calls["_sign"] <= 20, (digits, calls)
+
+
+def test_a_decided_pair_runs_no_ancestor_search(monkeypatch):
+    steps = []
+    real = order._inverse_steps
+    monkeypatch.setattr(order, "_inverse_steps", lambda front: steps.append(len(front)) or real(front))
+    big = 10**3999
+    assert least_upper_bound(FibTree(100, -37), FibTree(-50, 90), 16) == []
+    assert least_upper_bound(FibTree(big + 100, -37), FibTree(-50, big + 90), 16) == []
+    assert steps == []
+    # sigma F[1,2] lies in I, so this pair runs the search: the wrapper sees it
+    least_upper_bound(T12, FibTree(-50, 90), 3)
+    assert steps == [1, 1, 2, 2, 4, 4]
+    # both outside I, left open: tests/test_budgets.py runs this pair's search at the depth cap
+    assert not _never_meet(FibTree(13, 104), FibTree(104, 117))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the search stops at the first radius where the ancestor sets meet (F[3,0] at radius 1 "
@@ -600,6 +662,18 @@ def test_lub_list_frontiers_equal_set_frontiers():
 )
 def test_lub_of_a_comparable_pair_is_the_larger_tree():
     assert least_upper_bound(FibTree(-1, 2), FibTree(163, 264), 8) == [FibTree(-1, 2)]
+
+
+def test_lub_check_catches_an_unsound_certificate(monkeypatch):
+    from fibtree import verify
+
+    # at the check's own scale: the 49 trees with |a|, |b| <= 3, rings to radius 8
+    assert verify.check_lub() == []
+    monkeypatch.setattr(verify, "_never_meet", lambda t1, t2: True)
+    records = [r for r in verify.check_lub() if r["check"] == "lub-never-meet"]
+    # 1,225 pairs with t1 <= t2 in grid order, of which 513 have disjoint rings
+    assert len(records) == 712
+    assert records[0]["detail"] == "F[-3,-3], F[-3,-3]: decided apart, yet meet within radius 8"
 
 
 def test_order_brute_force_check_catches_a_dropped_u_node(monkeypatch):
