@@ -94,7 +94,7 @@ def is_subtree(child: FibTree, parent: FibTree, level_cap: int | None = None) ->
     found = first_witness(child.a, child.b - child.a, parent, level_cap)
     if found is None:
         return None
-    level, pos = found
+    level, pos, _ = found
     return SubtreeWitness(level, pos, _word_to(level, pos))
 
 

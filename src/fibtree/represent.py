@@ -9,16 +9,20 @@ realizing any target sequence, constructively.
 
 Both searches cost what the bit length of their inputs asks, not one
 step per level: a target's row start is located from the bit lengths of
-its seed, and the level scans step the level edges by additions only
-until the edges settle, then jump to within a few levels of the first
-level whose interval can hold the answer.  A sequence sits in a tree as
-a copy of its row's subtree, so `find_sequence` and `order.is_subtree`
-share one witness scan, `first_witness`.  By the shift lemma one fixed
-interval decides that scan: the level's hit, the cutoff past which no
-level can hit, and the level where a hit first becomes possible, found
-from bit lengths, so the scan runs no Beatty floor.  The scan ends by
-itself, so the searches need no level cap and a miss is proven absence;
-a cap, when given, only bounds the work.
+its seed by a walk whose sign tests run at the seed's width, and the
+level scans step the level edges by additions only until the edges
+settle, then jump to within a few levels of the first level whose
+interval can hold the answer.  A sequence sits in a tree as a copy of
+its row's subtree, so `find_sequence` and `order.is_subtree` share one
+witness scan, `first_witness`.  By the shift lemma one fixed interval
+decides that scan: the level's hit, placed by one product pair, the
+cutoff past which no level can hit, and the level where a hit first
+becomes possible, found from bit lengths.  The scan returns the
+witness's u-count with its position, and the `v-from-uu` identity turns
+the two into the position of the branch's root, so a search runs no
+Beatty floor.  The scan ends by itself, so the searches need no level
+cap and a miss is proven absence; a cap, when given, only bounds the
+work.
 A located branch is fixed by its pair, so the searches return it without
 replaying it; the replay is `verify.check_find_sequence`, and
 `count_occurrences` is the brute-force count over rule-built levels.
@@ -32,10 +36,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .goldring import _sign
+from .goldring import _fib_signed, _sign
 from .fibword import U
 from .tree import FibTree, _edges, u_nodes
-from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index, u
+from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index
 
 # The shortest skip over out-of-range levels worth a jump: one `tree._edges`
 # call on a cached doubling, about 0.47 us against 0.1 us per level stepped
@@ -171,11 +175,12 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
         k, e0, e1, h0, h1 = k + 1, e1, e0 + e1, h1, h0 + h1
 
 
-def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -> tuple[int, int] | None:
-    """(level, pos) of the first u-node of t labeled c whose v-child carries c + rank, or None when t has none.
+def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -> tuple[int, int, int] | None:
+    """(level, pos, k) of the first u-node of t labeled c whose v-child carries c + rank, or None when t has none.
 
-    A level_cap, when given, is a work budget: only levels 0..level_cap
-    are scanned, and None then reads "not found up to the cap".
+    k is the node's u-count, so pos = u(k).  A level_cap, when given, is
+    a work budget: only levels 0..level_cap are scanned, and None then
+    reads "not found up to the cap".
 
     Write D = rank, E_n = lo(n) - 1 and H_n = hi(n) for t's level edges.
     A u-node labeled c whose v-child carries c + D has a parent labeled D
@@ -187,9 +192,19 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -
 
     One interval decides the rest.  With eps_n = E_n - E_(n-1)*phi,
     k*phi = D*phi - E_n + eps_n, so for k >= 1 the test u(k) == c - E_n
-    reads eps_n in I = [alpha, alpha + 1) with alpha = c - D*phi: two
-    `_sign` tests of (E_n - c) + k*phi against 0 and 1, and no Beatty
-    floor.  Since E is a Fibonacci sequence, eps_(n+1) = (1 - phi)*eps_n:
+    reads eps_n in I = [alpha, alpha + 1) with alpha = c - D*phi, and no
+    Beatty floor.  One product pair, s^2 and 5y^2, places the level
+    against I.  With x = E_n - c, y = k >= 1 and s = 2x + y,
+    eps_n - alpha = x + y*phi = (s + y*sqrt(5))/2, and 5y^2 is never a
+    square, so:
+
+    - the level lies below I (x + y*phi < 0) iff s < 0 and s^2 > 5y^2;
+    - it lies in I iff s < 0, s^2 < 5y^2 and (x - 1) + y*phi < 0, that
+      is (2 - s)^2 > 5y^2, or s^2 - 5y^2 - 4s + 4 > 0 (for s >= 0,
+      (x - 1) + y*phi = (s - 2 + y*sqrt(5))/2 > 0 since 5y^2 > 4);
+    - otherwise it lies above I.
+
+    Since E is a Fibonacci sequence, eps_(n+1) = (1 - phi)*eps_n:
     |eps_n| shrinks by a factor phi per level and its sign alternates
     (eps is 0 only for t = F[1,2]), so every later eps lies in
     [-|eps_n|, |eps_n|].
@@ -197,7 +212,7 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -
     - Cutoff.  A level that misses ends the scan once that interval no
       longer meets I: below I (eps_n < alpha) when -eps_n < alpha too,
       above I (eps_n >= alpha + 1) when -eps_n >= alpha + 1 too.  One
-      more `_sign` test decides it, and no later level can hit.
+      `_sign` test decides it, and no later level can hit.
     - Start.  A hit needs |eps_n| <= |c| + |D|*phi + 1 < 2^m with
       m = bitlen(|c| + 2|D| + 1), while |eps_n| = |eps_0|*phi^-n and
       `delta_bits` gives log2|eps_0| within 2.  So no level below
@@ -222,12 +237,14 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -
         if level_cap is not None and k >= level_cap:
             return None
         x, y = e1 - c, rank - e0  # eps_n - alpha = x + y*phi, with eps_n = e1 - e0*phi
-        if _sign(x, y) < 0:
+        s = 2 * x + y
+        gap = s * s - 5 * y * y
+        if s < 0 and gap > 0:  # below I
             if _sign(e1 + c, -e0 - rank) > 0:  # -eps_n < alpha
                 return None
-        elif _sign(x - 1, y) < 0:
-            return k + 1, -x
-        elif _sign(-e1 - c - 1, e0 + rank) >= 0:  # -eps_n >= alpha + 1
+        elif s < 0 and gap - 4 * s + 4 > 0:  # in I
+            return k + 1, -x, y
+        elif _sign(-e1 - c - 1, e0 + rank) >= 0:  # above I, and -eps_n >= alpha + 1
             return None
     return None
 
@@ -257,9 +274,16 @@ def _row_alignment(s: FibSeq) -> tuple[int, tuple[int, int]]:
     negated Fibonacci sequence, whose row start is (-2, -3).
 
     M is the first index of the parity with delta_m > 0 that has
-    |delta_0| < phi^(m-1).  `delta_bits` estimates log2|delta_0| within
-    2, which places M within 3 steps of two; an exact walk over the
-    parity class with `_sign` tests of delta_m < 1/phi finds it.
+    |delta_0| < phi^(m-1), and the walk tests that on the seed, not on
+    the pair: with sigma the sign of delta_0 and phi^(m-1) =
+    F_(m-2) + F_(m-1)*phi, it reads phi^(m-1) - sigma*delta_0 > 0, the
+    `_sign` of (F_(m-2) - sigma*d, F_(m-1) + sigma*c), at the seed's
+    width.  `delta_bits` estimates log2|delta_0| within 2, which places M
+    within 3 steps of two; (F_(m-2), F_(m-1)) comes from one
+    `_fib_signed` call and moves by additions as m steps by 2, and the
+    pair at M is built from it: with P = (c + d)*(F_(M-2) + F_(M-1)),
+    t_(M-1) = c*F_(M-2) + d*F_(M-1) and t_M = P - c*F_(M-2), so
+    t_(M+1) = P + d*F_(M-1).
 
     The walk has proven pair = (t0, t1) = (u(u(j)), v(u(j))), so j reads
     off it: t1 - t0 = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1 (the
@@ -269,21 +293,19 @@ def _row_alignment(s: FibSeq) -> tuple[int, tuple[int, int]]:
     c, d = s.c, s.d
     bits, _ = delta_bits(c, d)
     m = bits * LOG_PHI_2[0] // LOG_PHI_2[1] + 1
-    if (m % 2 == 0) != (_sign(d, -c) > 0):
+    sigma = _sign(d, -c)
+    if (m % 2 == 0) != (sigma > 0):
         m += 1
-    t0, t1 = s.pair(m)
-    if _below_inverse_phi(t0, t1):
-        while _below_inverse_phi(2 * t0 - t1, t1 - t0):
-            m, t0, t1 = m - 2, 2 * t0 - t1, t1 - t0
+    sd, sc = sigma * d, sigma * c
+    f, g = _fib_signed(m - 2)  # (F_(m-2), F_(m-1))
+    if _sign(f - sd, g + sc) > 0:
+        while _sign(2 * f - g - sd, g - f + sc) > 0:
+            m, f, g = m - 2, 2 * f - g, g - f
     else:
-        while not _below_inverse_phi(t0, t1):
-            m, t0, t1 = m + 2, t0 + t1, t0 + 2 * t1
-    return m, (t0, t1)
-
-
-def _below_inverse_phi(t0: int, t1: int) -> bool:
-    # t1 - t0*phi < 1/phi = phi - 1
-    return _sign(-1 - t1, 1 + t0) > 0
+        while not _sign(f - sd, g + sc) > 0:
+            m, f, g = m + 2, f + g, f + 2 * g
+    p, cf = (c + d) * (f + g), c * f
+    return m, (p - cf, p + d * g)
 
 
 def find_sequence(t: FibTree, s: FibSeq, level_cap: int | None = None) -> Occurrence:
@@ -299,8 +321,10 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int | None = None) -> Occurr
     and j = 2*t0 + 1 - t1 read off the aligned pair (t0, t1).  The zero
     target is the subtree F[0,1], whose root's u-child carries 0 and has
     the v-child 0: the same formulas read it off the pair (0, 0).
-    The scan runs no Beatty floor; the witness position is the one u
-    call.
+    The scan runs no Beatty floor, and neither does the witness
+    position: the scan finds the row subtree's root at pos = u(k) with
+    its u-count k, so its u-child sits at u(pos) = u(u(k)) = pos + k - 1,
+    the `v-from-uu` identity.
 
     The alignment, the scan's start and its jump over the levels out of
     range cost O(1) big-int operations, so a 10^3-digit target, or a
@@ -323,8 +347,8 @@ def find_sequence(t: FibTree, s: FibSeq, level_cap: int | None = None) -> Occurr
     if found is None:
         within = "" if level_cap is None else f" within level cap {level_cap}"
         raise ValueError(f"no occurrence of {s} in {t}{within}")
-    level, pos = found
-    return Occurrence(level + 1, u(pos), (t0, t1), shift, True)
+    level, pos, k = found
+    return Occurrence(level + 1, pos + k - 1, (t0, t1), shift, True)
 
 
 def _equivalent(s1: FibSeq, s2: FibSeq) -> bool:

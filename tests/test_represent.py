@@ -180,6 +180,17 @@ def test_find_sequence_matches_reference_scan():
             assert got == want
             if isinstance(got, Occurrence):
                 _assert_branch(t, s, got)
+    # d/c near phi: delta_0 = d - c*phi cancels to a few units or to +-phi^-k, so the alignment
+    # walk's test |delta_0| < phi^(m-1) runs at small or negative m, or ties; on row starts it stays put
+    seeds = [(-fib(k), 1 - fib(k + 1)) for k in range(1, 200)]
+    seeds += [seed for k in range(200) for seed in ((fib(k), fib(k + 1)), (fib(k) + 1, fib(k + 1)))]
+    for digits in (1, 2, 3, 5, 10, 30, 100, 300, 1000):
+        for sign in (1, -1):
+            j = sign * rng.randint(10 ** (digits - 1), 10**digits)
+            seeds.append((u(u(j)), v(u(j))))
+    for seed in seeds:
+        s = FibSeq(*seed)
+        assert _row_alignment(s) == _reference_row_alignment(s), seed
 
 
 def test_find_sequence_matches_reference_scan_on_thousand_digit_labels():
@@ -483,16 +494,17 @@ def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(represent, "u", counting(represent.u))
+    u_calls = _count_u(monkeypatch)
     monkeypatch.setattr(represent, "_sign", counting(represent._sign))
     rng = random.Random(36)
     for _ in range(3):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
         for cap in (20200, None):
             calls = 0
+            u_calls.clear()
             occ = find_sequence(T01, s, level_cap=cap)
             assert occ.level > 9000
-            assert calls <= 64, calls
+            assert calls + len(u_calls) <= 64, (calls, u_calls)
 
 
 def _count_u(monkeypatch) -> list[int]:
@@ -512,17 +524,39 @@ def _count_u(monkeypatch) -> list[int]:
     return calls
 
 
-def test_find_sequence_thousand_digit_seed_makes_one_u_call(monkeypatch):
-    # the witness position: j and u(j) are read off the aligned pair, and the scan tests its
-    # interval by signs, with no Beatty floor
+def test_find_sequence_thousand_digit_seed_makes_no_u_call(monkeypatch):
+    # j and u(j) are read off the aligned pair, the scan tests its interval by signs, and the
+    # witness position is pos + k - 1 by the v-from-uu identity: no Beatty floor anywhere
     calls = _count_u(monkeypatch)
     rng = random.Random(38)
     for _ in range(6):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
         calls.clear()
-        assert find_sequence(T01, s, level_cap=20200).level > 9000
-        assert len(calls) == 1, len(calls)
+        occ = find_sequence(T01, s, level_cap=20200)
+        assert occ.level > 9000
+        assert calls == [], len(calls)
         assert _row_alignment(s) == _reference_row_alignment(s)
+        _assert_branch(T01, s, occ)
+
+
+@pytest.mark.parametrize("tree", [T01, FibTree(-10, 7)], ids=str)
+@pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
+def test_find_sequence_works_at_the_seed_width(monkeypatch, tree, digits):
+    # the alignment walks on the seed, and the witness level is placed against I by a product
+    # pair: every sign test stays within two bits of the seed, and no Beatty floor runs
+    import fibtree.represent as represent
+
+    u_calls = _count_u(monkeypatch)
+    widths = []
+    real_sign = represent._sign
+    monkeypatch.setattr(represent, "_sign", lambda a, b: widths.append(max(a.bit_length(), b.bit_length())) or real_sign(a, b))
+    rng = random.Random(digits)
+    for _ in range(3):
+        s = FibSeq(rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits), rng.randint(-(10**digits), 10**digits))
+        seed_bits = max(s.c.bit_length(), s.d.bit_length())
+        widths.clear()
+        find_sequence(tree, s)
+        assert u_calls == [] and len(widths) <= 6 and max(widths) <= seed_bits + 2, (u_calls, widths, seed_bits)
 
 
 @pytest.mark.parametrize("b, subtree_level", [(10**999 + 7, 4785), (10**3999 + 7, 19139)])
@@ -549,7 +583,7 @@ def test_strip_tree_scans_start_where_the_guest_can_sit(monkeypatch, b, subtree_
         signs.clear()
         occ = find_sequence(strip, FibSeq(5, 8), cap)
         assert occ.level == subtree_level + 2
-        assert len(calls) == 1 and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
+        assert calls == [] and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
 
 
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
