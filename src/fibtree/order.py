@@ -22,9 +22,9 @@ F[1,2] and F[0,0] contain themselves, by the powers of L and of R.
 up to 2^(r+1) bare int pairs per tree at radius r, so a search that runs
 doubles its cost with each level of depth (a miss took about 1.5 ms at
 depth 10 and 30 ms at depth 14).  Most pairs with no common ancestor
-never run it: a conjugate-gap certificate, O(1) big-int operations at
-any label size, proves that the two trees meet at no radius, and the
-empty answer is then a proof.  Otherwise the search returns the
+never run it: a conjugate-gap certificate, one `goldring._phi_log` and
+O(1) more big-int operations at any label size, proves that the two
+trees meet at no radius, and the empty answer is then a proof.  Otherwise the search returns the
 containment-minimal trees of the first radius where the two ancestor
 sets meet; an empty result from it bounds the search, it proves
 nothing, and for a comparable pair that radius can stop short of the
@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goldring import Atom, MapWord, _fib_pair, _fib_signed, _sign
+from .goldring import Atom, MapWord, _fib_pair, _phi_log, _sign
 from .represent import first_witness
 from .tree import FibTree
-from .wythoff import LOG_PHI_2, delta_bits
 
 
 @dataclass(frozen=True)
@@ -152,23 +151,15 @@ def _conjugate_gap(t: FibTree) -> tuple[int, int, int] | None:
 def _never_meet(t1: FibTree, t2: FibTree) -> bool:
     """The conjugate-gap certificate of `least_upper_bound`: True proves that t1 and t2 have no common ancestor.
 
-    `delta_bits` gives log2 d2 and log2(d1 + c) within 2 each, so the
-    estimate of m is within 8 of the least m with phi^m*(d1 + c) >= d2,
-    and the two walks to it take O(1) steps of additions, at any size.
+    `goldring._phi_log` gives the least m with phi^m*(d1 + c) >= d2 and
+    phi^m, so phi^m*d1 takes four products and the parity step additions.
     """
     g1, g2 = _conjugate_gap(t1), _conjugate_gap(t2)
     if g1 is None or g2 is None:
         return False
     (s1, x1, y1), (s2, x2, y2) = g1, g2
-    # log_phi(d2 / (d1 + c)) from bit lengths, with d1 + c = (x1 + 2) + (y1 - 1)*phi
-    m = (delta_bits(-y2, x2)[0] - delta_bits(1 - y1, x1 + 2)[0]) * LOG_PHI_2[0] // LOG_PHI_2[1]
-    f, g = _fib_signed(m - 1)  # phi^m = f + g*phi
-    p0, p1 = f * (x1 + 2) + g * (y1 - 1), f * (y1 - 1) + g * (x1 + y1 + 1)  # phi^m (d1 + c)
+    m, f, g = _phi_log(x1 + 2, y1 - 1, x2, y2)  # d1 + c = (x1 + 2) + (y1 - 1)*phi
     q0, q1 = f * x1 + g * y1, f * y1 + g * (x1 + y1)  # phi^m d1
-    while _sign(p0 - x2, p1 - y2) < 0:
-        m, p0, p1, q0, q1 = m + 1, p1, p0 + p1, q1, q0 + q1
-    while _sign(p1 - p0 - x2, p0 - y2) >= 0:
-        m, p0, p1, q0, q1 = m - 1, p1 - p0, p0, q1 - q0, q0
     if (m - (s1 != s2)) & 1:
         q0, q1 = q1, q0 + q1
     return _sign(q0 - x2 - 2, q1 - y2 + 1) > 0  # phi^m d1 > d2 + c
@@ -205,14 +196,12 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     - m = [side1 != side2] (mod 2),
     - phi^m*d1 <= d2 + c,
     - d2 <= phi^m*(d1 + c).
-    `_never_meet` finds the least m with phi^m*(d1 + c) >= d2, estimated
-    from bit lengths as in `wythoff.reference_index` and walked exactly
-    by one `_fib_signed` evaluation, additions and `_sign` tests; steps
-    to the right parity; and tests the one remaining inequality, which
-    only gets harder as m grows.  The search still runs when sigma t
-    lies in I (F[1,2], F[0,0], F[u(k), v(k)]) or when such an m exists.
-    An empty list from the search means nothing was found within the
-    depth, not that no upper bound exists.
+    `_never_meet` finds the least m with phi^m*(d1 + c) >= d2 by
+    `goldring._phi_log`, steps to the right parity, and tests the one
+    remaining inequality, which only gets harder as m grows.  The search
+    still runs when sigma t lies in I (F[1,2], F[0,0], F[u(k), v(k)]) or
+    when such an m exists; an empty list from it means nothing was found
+    within the depth, not that no upper bound exists.
 
     Each frontier is a list: radius d steps every identity of radius
     d - 1, the images W^-1(t) of the 2^(d-1) inverse words of that

@@ -8,8 +8,8 @@ middle class, `find_sequence` locates a concrete ascending branch
 realizing any target sequence, constructively.
 
 Both searches cost what the bit length of their inputs asks, not one
-step per level: a target's row start is located from the bit lengths of
-its seed by a walk whose sign tests run at the seed's width, and the
+step per level: a target's row start is located by
+`goldring._phi_log`, whose sign tests run at the seed's width, and the
 level scans step the level edges by additions only until the edges
 settle, then jump to within a few levels of the first level whose
 interval can hold the answer.  A sequence sits in a tree as a copy of
@@ -17,7 +17,7 @@ its row's subtree, so `find_sequence` and `order.is_subtree` share one
 witness scan, `first_witness`.  By the shift lemma one fixed interval
 decides that scan: the level's hit, placed by one product pair, the
 cutoff past which no level can hit, and the level where a hit first
-becomes possible, found from bit lengths.  The scan returns the
+becomes possible, found by `goldring._phi_log`.  The scan returns the
 witness's u-count with its position, and the `v-from-uu` identity turns
 the two into the position of the branch's root, so a search runs no
 Beatty floor.  The scan ends by itself, so the searches need no level
@@ -36,10 +36,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .goldring import _fib_signed, _sign
+from .goldring import _phi_log, _sign
 from .fibword import U
 from .tree import FibTree, _edges, u_nodes
-from .wythoff import LOG_PHI_2, FibSeq, delta_bits, reference_index
+from .wythoff import FibSeq, reference_index
 
 # The shortest skip over out-of-range levels worth a jump: one `tree._edges`
 # call on a cached doubling, about 0.47 us against 0.1 us per level stepped
@@ -104,16 +104,18 @@ def find_interval_level(t: FibTree, lo: int, hi: int) -> int:
 
 
 def _steps_below(g0: int, g1: int, y: int) -> int:
-    """A count s >= 0 with G_(k+1), ..., G_(k+s) < y, given G_k, G_(k+1) >= 0.
+    """A count s >= 0 with G_(k+1), ..., G_(k+s) < y, given G_k, G_(k+1) >= 0, not both 0, or 0 when s is short.
 
-    For j >= 0, G_(k+1+j) = G_k*F_j + G_(k+1)*F_(j+1) <= M*F_(j+2) <= M*phi^(j+1)
-    with M = max(G_k, G_(k+1)).  Since M < 2^bitlen(M) and y >= 2^(bitlen(y)-1),
-    G_(k+1+j) < y whenever j + 1 <= (bitlen(y) - 1 - bitlen(M))*log_phi(2),
-    and LOG_PHI_2 is below log_phi(2).  Conversely G_(k+1+j) >= M*F_j >= M*phi^(j-2),
-    so the first index with G >= y is at most 7 + bitlen(y)/40000 past k + s.
+    Delta_n = G_(n+1) + G_n/phi grows by a factor phi per index, with
+    G_(n+1) <= Delta_n from n = k on and Delta_n <= phi*G_(n+1) from k + 1
+    on, so the least s* with phi^s* Delta_k >= y has G_(k+1..k+s*) < y <=
+    G_(k+s*+2); `goldring._phi_log` with no walk gives s* or s* - 1.  As
+    Delta_k >= max(G_k, G_(k+1))/phi, y <= 21*max(G_k, G_(k+1)) puts s* at
+    most 8 = _MIN_JUMP (21 <= phi^7), and 0 is returned without the call.
     """
-    bits = y.bit_length() - 1 - max(g0, g1).bit_length()
-    return max(0, bits * LOG_PHI_2[0] // LOG_PHI_2[1])
+    if y <= 21 * max(g0, g1):
+        return 0
+    return _phi_log(g1 - g0, g0, y, 0, walk=False)[0]
 
 
 def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, int]]:
@@ -138,10 +140,8 @@ def _in_range(t: FibTree, lo: int, hi: int, k: int) -> Iterator[tuple[int, int, 
       the next `_steps_below` indices (G = -E with y = 1 - lo, or G = H
       with y = hi).  Those indices fail the range test, so the scan jumps
       past them, evaluates both edge pairs there by one `tree._edges`
-      call, and resumes index by index; within 7 indices plus one per
-      40,000 bits of the bound it reaches the first index in range.
-      Short jumps are stepped instead, so small inputs evaluate nothing
-      extra.
+      call, and resumes index by index; within 3 indices it reaches the
+      first index in range.  Short jumps are stepped instead.
 
     In a RepresentsZ tree E is falling and H rising once settled, so the
     scan never ends and yields every index from its first hit on.
@@ -213,13 +213,12 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -
       longer meets I: below I (eps_n < alpha) when -eps_n < alpha too,
       above I (eps_n >= alpha + 1) when -eps_n >= alpha + 1 too.  One
       `_sign` test decides it, and no later level can hit.
-    - Start.  A hit needs |eps_n| <= |c| + |D|*phi + 1 < 2^m with
-      m = bitlen(|c| + 2|D| + 1), while |eps_n| = |eps_0|*phi^-n and
-      `delta_bits` gives log2|eps_0| within 2.  So no level below
-      (bits - 2 - m)*log_phi(2) can hit, nor end the scan, and the scan
-      starts at that level (LOG_PHI_2 is below log_phi(2)).  On a strip
-      tree F[1 - u(b), b], where |eps_0| is about b, one `tree._edges`
-      evaluation replaces thousands of levels in range.
+    - Start.  A hit, or the cutoff, needs |eps_n| <= K = |c| + 1 + |D|*phi,
+      while |eps_n| = |eps_0|*phi^-n.  So no level below the least n with
+      phi^n*K >= |eps_0| can hit or end the scan, and the scan starts at n
+      or n - 1, `goldring._phi_log` with no walk; or at 0 when
+      |E_0| + 2|E_(-1)| <= 21*(|c| + |D| + 1) puts n at most 7.  On a strip
+      tree F[1 - u(b), b] (|eps_0| about b) that skips thousands of levels.
 
     Once |eps_n| < min(|alpha|, |alpha + 1|), the interval meets I only
     if I holds 0, and then eps_n is in I.  For D != 0 the norm of
@@ -230,9 +229,11 @@ def first_witness(c: int, rank: int, t: FibTree, level_cap: int | None = None) -
     and D) levels, or at the end of the levels in range, with no cap: a
     miss is then proven.
     """
-    bits, _ = delta_bits(t.b - t.a - 1, t.a - 1)  # eps_0 = E_0 - E_(-1)*phi
-    m = (abs(c) + 2 * abs(rank) + 1).bit_length()
-    start = (bits - 2 - m) * LOG_PHI_2[0] // LOG_PHI_2[1]
+    p, q = t.a - 1, t.b - t.a - 1  # eps_0 = E_0 - E_(-1)*phi = p - q*phi
+    start = 0
+    if abs(p) + 2 * abs(q) > 21 * (abs(c) + abs(rank) + 1):
+        sigma = _sign(p, -q)
+        start = _phi_log(abs(c) + 1, abs(rank), sigma * p, -sigma * q, walk=False)[0]
     for k, e0, e1 in _in_range(t, rank, rank, max(start, 0) - 1):
         if level_cap is not None and k >= level_cap:
             return None
@@ -274,38 +275,27 @@ def _row_alignment(s: FibSeq) -> tuple[int, tuple[int, int]]:
     negated Fibonacci sequence, whose row start is (-2, -3).
 
     M is the first index of the parity with delta_m > 0 that has
-    |delta_0| < phi^(m-1), and the walk tests that on the seed, not on
-    the pair: with sigma the sign of delta_0 and phi^(m-1) =
-    F_(m-2) + F_(m-1)*phi, it reads phi^(m-1) - sigma*delta_0 > 0, the
-    `_sign` of (F_(m-2) - sigma*d, F_(m-1) + sigma*c), at the seed's
-    width.  `delta_bits` estimates log2|delta_0| within 2, which places M
-    within 3 steps of two; (F_(m-2), F_(m-1)) comes from one
-    `_fib_signed` call and moves by additions as m steps by 2, and the
-    pair at M is built from it: with P = (c + d)*(F_(M-2) + F_(M-1)),
+    |delta_0| < phi^(M-1), found on the seed, not on the pair:
+    `goldring._phi_log` gives the least n with phi^n >= |delta_0| at the
+    seed's width, and phi^n = F_(n-1) + F_n*phi; M - 1 is n, one more
+    when phi^n equals |delta_0|, one more for the parity.  The pair at M
+    is built from (F_(M-2), F_(M-1)): with P = (c + d)*(F_(M-2) + F_(M-1)),
     t_(M-1) = c*F_(M-2) + d*F_(M-1) and t_M = P - c*F_(M-2), so
     t_(M+1) = P + d*F_(M-1).
 
-    The walk has proven pair = (t0, t1) = (u(u(j)), v(u(j))), so j reads
-    off it: t1 - t0 = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1 (the
-    `v-from-uu` identity that `verify.check_wythoff_identities` checks)
-    gives j = 2*t0 + 1 - t1, with no u call.
+    So pair = (t0, t1) = (u(u(j)), v(u(j))), and j reads off it: t1 - t0
+    = u(j), and u(u(j)) = v(j) - 1 = u(j) + j - 1 (the `v-from-uu`
+    identity, checked by `verify.check_wythoff_identities`) gives
+    j = 2*t0 + 1 - t1, with no u call.  The zero seed raises ValueError.
     """
     c, d = s.c, s.d
-    bits, _ = delta_bits(c, d)
-    m = bits * LOG_PHI_2[0] // LOG_PHI_2[1] + 1
-    sigma = _sign(d, -c)
-    if (m % 2 == 0) != (sigma > 0):
-        m += 1
+    sigma = _sign(d, -c)  # the sign of delta_0 = d - c*phi
     sd, sc = sigma * d, sigma * c
-    f, g = _fib_signed(m - 2)  # (F_(m-2), F_(m-1))
-    if _sign(f - sd, g + sc) > 0:
-        while _sign(2 * f - g - sd, g - f + sc) > 0:
-            m, f, g = m - 2, 2 * f - g, g - f
-    else:
-        while not _sign(f - sd, g + sc) > 0:
-            m, f, g = m + 2, f + g, f + 2 * g
+    n, f, g = _phi_log(1, 0, sd, -sc)  # phi^n = f + g*phi >= |delta_0|
+    while (f, g) == (sd, -sc) or (n % 2 == 0) == (sigma > 0):  # M = n + 1: phi^n > |delta_0|, M even iff sigma > 0
+        n, f, g = n + 1, g, f + g
     p, cf = (c + d) * (f + g), c * f
-    return m, (p - cf, p + d * g)
+    return n + 1, (p - cf, p + d * g)
 
 
 def find_sequence(t: FibTree, s: FibSeq, level_cap: int | None = None) -> Occurrence:

@@ -15,12 +15,13 @@ it; the second route to each fact lives here, in the check for it.
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 from itertools import product
 
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
-from .goldring import Atom, GoldInt, MapWord, _apply_atom, _sign, fib, phi_pow
+from .goldring import ONE, PHI, Atom, GoldInt, MapWord, _apply_atom, _phi_log, _sign, fib, phi_pow
 from .order import _never_meet, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
 from .tree import FibTree, NodeRef, branch_sequence, build_levels, children_labels, node_label, parent_label, u_nodes
@@ -637,11 +638,21 @@ def check_wythoff_array() -> list[dict]:
 
 
 def check_gold_sign_oracle() -> list[dict]:
-    """`goldring._sign`, the sign body behind `gold_sign`, `classify` and every search, on int pairs |a|, |b| <= 1000."""
+    """`goldring._sign`, the sign body behind `gold_sign`, `classify` and every search, on int pairs |a|, |b| <= 1000;
+    `goldring._phi_log` on all positive z, w with coefficients in [-4, 4], against GoldInt powers of phi and the oracle."""
     for a, b in product(range(-1000, 1001), repeat=2):
         if _sign(a, b) != gold_sign_oracle(a, b):
             return [_fail("gold-sign-oracle", f"{a}{b:+d}*phi")]
-    return []
+    powers = {0: ONE}
+    for k in range(1, 13):
+        powers[k], powers[-k] = powers[k - 1] * PHI, powers[1 - k] * GoldInt(-1, 1)  # 1/phi = phi - 1
+    positive = [GoldInt(a, b) for a, b in product(range(-4, 5), repeat=2) if gold_sign_oracle(a, b) > 0]
+    return [
+        _fail("phi-log", f"z = {z}, w = {w}: {got}, but the least power is phi^{m}")
+        for z, w in product(positive, repeat=2)
+        for m in [next(k for k in range(-12, 13) if gold_sign_oracle(*astuple(powers[k] * z - w)) >= 0)]
+        if (got := _phi_log(z.a, z.b, w.a, w.b)) != (m, powers[m].a, powers[m].b)
+    ]
 
 
 # ------------------------------------------------------------------ suites

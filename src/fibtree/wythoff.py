@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .goldring import _fib_signed, _sign
+from .goldring import _fib_signed, _phi_log, _sign
 
 
 def u(n: int) -> int:
@@ -75,28 +75,6 @@ class FibSeq:
         return f"F[{self.c},{self.d}]"
 
 
-# A rational lower bound on log_phi(2) = 1.44042009...: bit lengths times
-# this ratio estimate levels and indices in integer arithmetic.
-LOG_PHI_2 = (3601, 2500)
-
-
-def delta_bits(c: int, d: int) -> tuple[int, int]:
-    """Estimates of log2|d - c*phi| and log2|d + c/phi| from bit lengths, each within 2.
-
-    With g = 2d - c the two numbers are (g - c*sqrt(5))/2 and
-    (g + c*sqrt(5))/2, so the larger magnitude is (|g| + sqrt(5)|c|)/2,
-    within a factor 1.12 of q/2 with q = |g| + 2|c|, and their product is
-    the norm d^2 - cd - c^2, a nonzero integer for (c, d) != (0, 0).  The
-    second squared minus the first squared is sqrt(5)*c*g, which says
-    which one is larger.  Bit lengths give log2 q and log2|norm| within
-    1 each, hence both estimates within 2.
-    """
-    g = 2 * d - c
-    big = (abs(g) + 2 * abs(c)).bit_length() - 1
-    small = abs(d * d - c * d - c * c).bit_length() - big
-    return (big, small) if c * g <= 0 else (small, big)
-
-
 def reference_index(seq: FibSeq) -> int:
     """The unique index nu splitting the alternating and monotonic parts.
 
@@ -114,20 +92,19 @@ def reference_index(seq: FibSeq) -> int:
     Estimate.  |A*phi^m| and |B*phi^-m| cross at m* = log_phi(|B|/A)/2,
     with |B|/A = |d - c*phi| / |d + c/phi|; so t_m > 0 for m > m*, and
     one of t_m, t_(m-1) is negative for m < m*: m* < nu <= m* + 2.
-    `delta_bits` gives log2(|B|/A) within 4, so the estimate m* + 1 is
-    off by at most 5 indices.
+    `goldring._phi_log` with no walk gives k* or k* - 1 for the least
+    k* >= 2m*, so (k + 3)//2 is within one index of nu.
 
     Walk.  From the estimate, the pair (t(m-2), t(m-1)) is updated by one
     addition per step: both nonnegative means nu < m, a negative t(m-1)
-    or t(m) means nu > m, anything else is the defining pattern.  The
-    walk is exact, whatever the estimate; the estimate only keeps it
-    short, O(1) steps after O(1) big-int multiplications.
+    or t(m) means nu > m, anything else is the defining pattern.  It is
+    exact whatever the estimate, which only keeps it short.
     """
     if seq.is_zero():
         raise ValueError("reference index undefined for F[0,0]")
     s = seq if seq.sign() > 0 else FibSeq(-seq.c, -seq.d)
-    bits_b, bits_a = delta_bits(s.c, s.d)
-    nu = (bits_b - bits_a) * LOG_PHI_2[0] // (2 * LOG_PHI_2[1]) + 1
+    sigma = _sign(s.d, -s.c)  # the sign of d - c*phi; k from phi^k*|d + c/phi| >= |d - c*phi|
+    nu = (_phi_log(s.d - s.c, s.c, sigma * s.d, -sigma * s.c, walk=False)[0] + 3) // 2
     a, b = s.pair(nu - 2)
     while True:
         if a >= 0 and b >= 0:

@@ -1,8 +1,6 @@
-import importlib
 import json
 import os
 import pathlib
-import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +14,7 @@ from fibtree.cli import run
 from fibtree.represent import find_interval_level, find_sequence
 from fibtree.tree import FibTree
 from fibtree.wythoff import FibSeq, u
+from test_represent import _count_calls
 from test_warray import g_decimal_oracle
 
 
@@ -100,22 +99,11 @@ def test_tree_json_parent_positions(capsys):
 def test_tree_dump_reads_one_word_and_no_beatty_floor(monkeypatch, capsys, fmt):
     # every level's letters and parent positions come off word(levels): no u or u_count call,
     # counted in each fibtree module that binds them
-    import fibtree
-    from fibtree import fibword, wythoff
-
-    modules = [fibtree] + [
-        importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
-    ]
-    calls = []
-    for origin, name in [(wythoff, "u"), (fibword, "u_count"), (fibword, "word")]:
-        real = getattr(origin, name)
-        for module in modules:
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, lambda n, name=name, real=real: calls.append(name) or real(n))
+    calls = _count_calls(monkeypatch, "u", "u_count", "word")
     code = run(["tree", "--id", "3,-5", "--levels", "20", "--format", fmt])
     capsys.readouterr()
     assert code == 0
-    assert calls == ["word"]
+    assert [name for name, _ in calls] == ["word"]
 
 
 def test_big_labels_become_strings(capsys):
@@ -235,6 +223,8 @@ _N = str(9 * 10**4299)
     [
         (["wythoff", "--from", _N, "--to", _N], "wythoff --from --to"),
         (["sum", "--t1", f"{_N},1", "--t2", f"{_N},1"], "sum --t1 --t2"),
+        # a generic 4,000-digit seed: its row start has about twice its digits
+        (["find-seq", "--id", "0,1", "--seq", f"{3 * 10**3999 + 11},{-(7 * 10**3999 + 5)}"], "find-seq --id --seq --cap"),
     ],
 )
 def test_result_past_the_integer_text_limit_names_the_flags(capsys, argv, flags):

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,12 +13,16 @@ from fibtree.goldring import (
     Atom,
     GoldInt,
     MapWord,
+    _phi_log,
     fib,
     fixed_point,
     gold_sign,
     phi_pow,
 )
+from fibtree.order import _conjugate_gap
+from fibtree.tree import FibTree
 from fibtree.verify import gold_sign_oracle
+from test_represent import _count_calls
 
 ints = st.integers(min_value=-(10**9), max_value=10**9)
 gold = st.builds(GoldInt, ints, ints)
@@ -178,3 +184,48 @@ def test_all_atoms_are_lattice_bijections():
         assert len(images) == len(points)
         for z in points:
             assert w.inverse().apply(w.apply(z)) == z
+
+
+def _phi_log_cases(digits):
+    """Positive (z, w) int-pair pairs: random ones, cancelling ones and the certificate's."""
+    rng = random.Random(digits)
+    big = 10 ** (digits - 1)
+    cases = []
+    while len(cases) < 12:
+        z = rng.randint(-10 * big, 10 * big), rng.randint(-10 * big, 10 * big)
+        w = rng.randint(-10 * big, 10 * big), rng.randint(0, 9)
+        if gold_sign(GoldInt(*z)) > 0 and gold_sign(GoldInt(*w)) > 0:
+            cases.append((z, w))
+    # delta_0 = d - c*phi of (c, d) = (F_k, F_(k+1)) is (-1/phi)^k, tiny beside c and d; negative for odd k
+    k = 4 * digits + 7
+    cases += [((1, 0), (-fib(k + 1), fib(k))), ((1, 0), (fib(k + 2), -fib(k + 1))), ((fib(k + 2), -fib(k + 1)), (big, 0))]
+    # the certificate pair F[big + 100, -37], F[3, -5]: m near -log_phi(big)
+    (_, x1, y1), (_, x2, y2) = _conjugate_gap(FibTree(big + 100, -37)), _conjugate_gap(FibTree(3, -5))
+    cases.append(((x1 + 2, y1 - 1), (x2, y2)))
+    return cases
+
+
+@pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
+def test_phi_log_is_the_least_power_from_one_doubling_and_three_sign_tests(monkeypatch, digits):
+    calls = _count_calls(monkeypatch, "_sign", "_fib_signed")
+    ms = []
+    for z, w in _phi_log_cases(digits):
+        calls.clear()
+        m, f, g = _phi_log(*z, *w)
+        counts = Counter(name for name, _ in calls)
+        assert counts["_fib_signed"] == 1 and counts["_sign"] <= 3, (z, w, counts)
+        calls.clear()
+        low, _, _ = _phi_log(*z, *w, walk=False)
+        assert calls == [] and m - 1 <= low <= m, (m, low)
+        ms.append(m)
+        # the definition, through GoldInt products: phi^m*z >= w > phi^(m-1)*z
+        Z, W = GoldInt(*z), GoldInt(*w)
+        assert phi_pow(m) == GoldInt(f, g)
+        assert gold_sign(phi_pow(m) * Z - W) >= 0 > gold_sign(phi_pow(m - 1) * Z - W), (z, w, m)
+    assert min(ms) < 0 < max(ms)
+
+
+@pytest.mark.parametrize("z, w", [((0, 0), (1, 0)), ((1, 0), (0, 0)), ((1, -1), (1, 0)), ((1, 0), (-2, 1)), ((-1, 0), (-1, 0))])
+def test_phi_log_rejects_nonpositive_arguments(z, w):
+    with pytest.raises(ValueError):
+        _phi_log(*z, *w)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib, fixed_poi
 from fibtree.order import SubtreeWitness, _inverse_steps, _never_meet, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
 from fibtree.wythoff import u
+from test_represent import _count_calls
 
 T01 = FibTree(0, 1)
 T12 = FibTree(1, 2)
@@ -337,33 +339,17 @@ def test_is_subtree_matches_rule_built_levels_at_cap_20():
 
 def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
     # the scan's per-level primitives: sign tests, and u, which the scan need not call
-    from test_represent import _count_u
-
-    u_calls = _count_u(monkeypatch)
-    calls = 0
-
-    def counting(f):
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return f(*args)
-
-        return counted
-
-    monkeypatch.setattr(represent, "_sign", counting(represent._sign))
     known = {(c, d) for c in range(-30, 31) for d in range(-30, 31)}
     misses = [(7, 4)] + [cd for cd in sorted(known) if is_subtree(FibTree(*cd), T01, 40) is None][::37]
+    calls = _count_calls(monkeypatch, "_sign", "u")
     for (c, d), cap in product(misses, (5000, None)):
-        calls = 0
-        u_calls.clear()
+        calls.clear()
         assert is_subtree(FibTree(c, d), T01, level_cap=cap) is None
-        assert calls + len(u_calls) <= 64, (c, d, cap, calls, u_calls)
+        assert len(calls) <= 64, (c, d, cap, calls)
 
 
 def test_is_subtree_hit_at_the_first_level_in_range_makes_no_u_call(monkeypatch):
-    from test_represent import _count_u
-
-    calls = _count_u(monkeypatch)
+    calls = _count_calls(monkeypatch, "u")
     rng = random.Random(29)
     parents = [FibTree(a, b) for a in range(-5, 6) for b in range(-5, 6)]
     parents += [FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(3)]
@@ -427,28 +413,16 @@ def test_witness_word_equals_the_upward_walk(witnesses):
 
 def test_witness_word_makes_one_doubling_and_no_beatty_call(monkeypatch, witnesses):
     # the walk reads subtree sizes off one _fib_pair(level); no u, u_count or letter_at call
-    import importlib
-    import pkgutil
-
-    import fibtree
-    from fibtree import fibword, order, wythoff
-
     rng = random.Random(4787)
     deep = [(4787, u(k)) for k in (1, fib(4788), rng.randint(1, fib(4788)))]  # u-nodes: F_4788 u's at level 4787
-    calls = []
-    modules = [fibtree] + [
-        importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
-    ]
-    for real in (wythoff.u, fibword.u_count, fibword.letter_at):
-        for module in modules:
-            if getattr(module, real.__name__, None) is real:
-                monkeypatch.setattr(module, real.__name__, lambda n, real=real: calls.append(real.__name__) or real(n))
+    calls = _count_calls(monkeypatch, "u", "u_count", "letter_at")
+    # counted in order alone: _fib_pair recurses through goldring
     real_fib_pair = order._fib_pair
-    monkeypatch.setattr(order, "_fib_pair", lambda n: calls.append("_fib_pair") or real_fib_pair(n))
+    monkeypatch.setattr(order, "_fib_pair", lambda n: calls.append(("_fib_pair", (n,))) or real_fib_pair(n))
     for level, pos in deep + witnesses:
         calls.clear()
         order._word_to(level, pos)
-        assert calls == ["_fib_pair"], (level, pos, calls)
+        assert [name for name, _ in calls] == ["_fib_pair"], (level, pos, calls)
 
 
 def test_self_containment_matches_unpruned_enumeration():
@@ -622,24 +596,13 @@ def _certificate_pairs(digits):
 
 @pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
 def test_lub_certificate_makes_one_doubling_at_any_size(monkeypatch, digits):
-    calls = {"_fib_signed": 0, "_sign": 0}
-
-    def counting(name):
-        real = getattr(order, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(order, name, counting(name))
+    calls = _count_calls(monkeypatch, "_fib_signed", "_sign")
     for t1, t2 in _certificate_pairs(digits):
-        calls.update(_fib_signed=0, _sign=0)
+        calls.clear()
         _never_meet(t1, t2)
-        # the m estimate is within 8 of its walked value: a walk from m = 0 would make thousands of _sign calls
-        assert calls["_fib_signed"] <= 1 and calls["_sign"] <= 20, (digits, calls)
+        # counted in goldring too, where `_phi_log` walks: a walk of m from 0 would make thousands of _sign calls
+        counts = Counter(name for name, _ in calls)
+        assert counts["_fib_signed"] <= 1 and counts["_sign"] <= 20, (digits, counts)
 
 
 def test_a_decided_pair_runs_no_ancestor_search(monkeypatch):

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
@@ -224,6 +225,12 @@ def test_find_sequence_never_raises_on_representing_trees(digits, trees):
         bound = 10 ** rng.choice((1, 10, digits))
         s = FibSeq(rng.randint(-bound, bound), rng.randint(-bound, bound))
         _assert_branch(t, s, find_sequence(t, s), terms=4)
+
+
+def test_row_alignment_rejects_the_zero_seed():
+    # F[0,0] has no row: delta_0 = 0 has no phi-logarithm
+    with pytest.raises(ValueError):
+        _row_alignment(FibSeq(0, 0))
 
 
 def test_find_interval_level_rejects():
@@ -481,53 +488,47 @@ def test_find_sequence_cap_below_jump_target_keeps_error_text():
 
 
 def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
-    import fibtree.represent as represent
-
     # the scan's per-level primitives: sign tests, and u, which the scan need not call
-    calls = 0
-
-    def counting(f):
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return f(*args)
-
-        return counted
-
-    u_calls = _count_u(monkeypatch)
-    monkeypatch.setattr(represent, "_sign", counting(represent._sign))
+    calls = _count_calls(monkeypatch, "_sign", "u")
     rng = random.Random(36)
     for _ in range(3):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
         for cap in (20200, None):
-            calls = 0
-            u_calls.clear()
+            calls.clear()
             occ = find_sequence(T01, s, level_cap=cap)
             assert occ.level > 9000
-            assert calls + len(u_calls) <= 64, (calls, u_calls)
+            assert len(calls) <= 64, [name for name, _ in calls]
 
 
-def _count_u(monkeypatch) -> list[int]:
-    """The arguments of every `u` call from here on: each fibtree module that binds wythoff.u
-    gets the counting wrapper, wythoff itself included (u_inverse calls u there)."""
+def _count_calls(monkeypatch, *names: str) -> list[tuple[str, tuple]]:
+    """(name, args) of every call to the named fibtree functions from here on.
+
+    Each fibtree module that binds one of them gets the counting wrapper, its home module
+    included, so a call counts wherever it is made: u_inverse calls u in wythoff, and
+    `goldring._phi_log` calls `_sign` and `_fib_signed` in goldring."""
     import fibtree
-    from fibtree import wythoff
 
-    calls = []
-    real_u = wythoff.u
     modules = [fibtree] + [
         importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
     ]
-    for module in modules:
-        if getattr(module, "u", None) is real_u:
-            monkeypatch.setattr(module, "u", lambda n: calls.append(n) or real_u(n))
+    calls = []
+    for name in names:
+        real = next(getattr(module, name) for module in modules if hasattr(module, name))
+
+        def counted(*args, name=name, real=real):
+            calls.append((name, args))
+            return real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_find_sequence_thousand_digit_seed_makes_no_u_call(monkeypatch):
     # j and u(j) are read off the aligned pair, the scan tests its interval by signs, and the
     # witness position is pos + k - 1 by the v-from-uu identity: no Beatty floor anywhere
-    calls = _count_u(monkeypatch)
+    calls = _count_calls(monkeypatch, "u")
     rng = random.Random(38)
     for _ in range(6):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
@@ -544,19 +545,16 @@ def test_find_sequence_thousand_digit_seed_makes_no_u_call(monkeypatch):
 def test_find_sequence_works_at_the_seed_width(monkeypatch, tree, digits):
     # the alignment walks on the seed, and the witness level is placed against I by a product
     # pair: every sign test stays within two bits of the seed, and no Beatty floor runs
-    import fibtree.represent as represent
-
-    u_calls = _count_u(monkeypatch)
-    widths = []
-    real_sign = represent._sign
-    monkeypatch.setattr(represent, "_sign", lambda a, b: widths.append(max(a.bit_length(), b.bit_length())) or real_sign(a, b))
+    calls = _count_calls(monkeypatch, "_sign", "u")
     rng = random.Random(digits)
     for _ in range(3):
         s = FibSeq(rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits), rng.randint(-(10**digits), 10**digits))
         seed_bits = max(s.c.bit_length(), s.d.bit_length())
-        widths.clear()
+        calls.clear()
         find_sequence(tree, s)
-        assert u_calls == [] and len(widths) <= 6 and max(widths) <= seed_bits + 2, (u_calls, widths, seed_bits)
+        signs = [args for name, args in calls if name == "_sign"]
+        widths = [max(a.bit_length(), b.bit_length()) for a, b in signs]
+        assert len(signs) == len(calls) <= 6 and max(widths) <= seed_bits + 2, (len(calls), widths, seed_bits)
 
 
 @pytest.mark.parametrize("b, subtree_level", [(10**999 + 7, 4785), (10**3999 + 7, 19139)])
@@ -564,39 +562,28 @@ def test_strip_tree_scans_start_where_the_guest_can_sit(monkeypatch, b, subtree_
     # F[1 - u(b), b] has |eps_0| about b, so thousands of levels are in range before the guest
     # F[5,8] can sit: the scan starts there, by one evaluation of the level edges, and tests a
     # few levels by signs
-    import fibtree.represent as represent
-
-    calls = _count_u(monkeypatch)
-    edges, signs = [], []
-    real_edges, real_sign = represent._edges, represent._sign
-    monkeypatch.setattr(represent, "_edges", lambda t, n: edges.append(n) or real_edges(t, n))
-    monkeypatch.setattr(represent, "_sign", lambda a, b: signs.append(a) or real_sign(a, b))
     strip = FibTree(1 - u(b), b)
+    calls = _count_calls(monkeypatch, "u", "_edges", "_sign")
     for cap in (10**6, None):
         calls.clear()
-        edges.clear()
-        signs.clear()
         w = is_subtree(FibTree(5, 8), strip, cap)
         assert w.level == subtree_level
-        assert calls == [] and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
-        edges.clear()
-        signs.clear()
+        counts = Counter(name for name, _ in calls)
+        assert counts["u"] == 0 and counts["_edges"] <= 2 and counts["_sign"] <= 64, counts
+        calls.clear()
         occ = find_sequence(strip, FibSeq(5, 8), cap)
         assert occ.level == subtree_level + 2
-        assert calls == [] and len(edges) <= 2 and len(signs) <= 64, (len(calls), edges, len(signs))
+        counts = Counter(name for name, _ in calls)
+        assert counts["u"] == 0 and counts["_edges"] <= 2 and counts["_sign"] <= 64, counts
 
 
 def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
     # the scan jumps past the 10^4 levels out of range: one evaluation of the level edges
-    import fibtree.represent as represent
-
-    calls = []
-    real_edges = represent._edges
-    monkeypatch.setattr(represent, "_edges", lambda t, n: calls.append(n) or real_edges(t, n))
+    calls = _count_calls(monkeypatch, "_edges")
     rng = random.Random(37)
     for t in (T01, FibTree(-1, 2), FibTree(-60, 38)):
         calls.clear()
         lo, hi = -rng.randint(10**2199, 10**2200), rng.randint(10**2199, 10**2200)
         level = find_interval_level(t, lo, hi)
         assert level > 10_000
-        assert len(calls) == 1 and level - calls[0] < 20, (level, calls)
+        assert len(calls) == 1 and level - calls[0][1][1] < 20, (level, calls)
