@@ -123,11 +123,23 @@ def gold_sign(z: GoldInt) -> int:
     return _sign(z.a, z.b)
 
 
+def _log8(a: int, b: int) -> int:
+    """8*log2(a + b*phi) + theta, the estimate of `_phi_log`; its docstring has the proof."""
+    e = (abs(a) | abs(b)).bit_length()
+    r = ((a << 24) + b * 27146105) >> e  # 27146105 = floor(phi * 2^24)
+    if r > 1 << 16:
+        return 8 * (e - 24) + (r**8).bit_length()
+    n = a * (a + b) - b * b
+    if r < -(1 << 16) or n * a <= 0:
+        raise ValueError("phi_log needs positive arguments")
+    return _log8(abs(n), 0) - _log8(abs(a) - abs(b), abs(b))
+
+
 def _phi_log(z0: int, z1: int, w0: int, w1: int, walk: bool = True) -> tuple[int, int, int]:
     """(m, f, g): the least m with phi^m*z >= w, and phi^m = f + g*phi, for z = z0 + z1*phi > 0 and w = w0 + w1*phi > 0.
 
     The library's one estimate-and-walk; a nonpositive z or w raises
-    ValueError.  Estimate: for x = a + b*phi with |a|, |b| < 2^e, `log8`
+    ValueError.  Estimate: for x = a + b*phi with |a|, |b| < 2^e, `_log8`
     forms r = x*2^(24-e) within 2 by one product with floor(phi*2^24);
     once r > 2^16, 8*(e - 24) + bitlen(r^8) = 8*log2(x) + theta, theta in
     (0, 1] to within 2^-10.  A smaller |r| means a and b*phi cancel
@@ -141,19 +153,8 @@ def _phi_log(z0: int, z1: int, w0: int, w1: int, walk: bool = True) -> tuple[int
     and `_sign` tests at the width of phi^m*z and w; exact whatever the
     estimate, it makes two or three tests from m* or m* - 1.
     """
-
-    def log8(a: int, b: int) -> int:
-        e = (abs(a) | abs(b)).bit_length()
-        r = ((a << 24) + b * 27146105) >> e  # 27146105 = floor(phi * 2^24)
-        if r > 1 << 16:
-            return 8 * (e - 24) + (r**8).bit_length()
-        n = a * (a + b) - b * b
-        if r < -(1 << 16) or n * a <= 0:
-            raise ValueError("phi_log needs positive arguments")
-        return log8(abs(n), 0) - log8(abs(a) - abs(b), abs(b))
-
     # round(log_phi(2) * 2^64); the shift divides by 8 * 2^64, and the negations round up
-    m = -((3 - log8(w0, w1) + log8(z0, z1)) * 26571060766470002757 >> 67)
+    m = -((3 - _log8(w0, w1) + _log8(z0, z1)) * 26571060766470002757 >> 67)
     if not walk:
         return m, 0, 0
     f, g = _fib_signed(m - 1)

@@ -10,14 +10,31 @@ by the library itself.
 
 The library computes each fact by one closed form and never re-checks
 it; the second route to each fact lives here, in the check for it.
+Where that route is a function, it is the one copy: the module tests
+import it and keep none of their own.
+
+    oracle                    second route to                        tests that import it
+    beatty_oracle             u(n) = floor(n*phi)                    test_wythoff
+    gold_sign_oracle          the sign of a + b*phi                  (the checks only)
+    verify_lemma_shift        the shift-lemma cutoff                 test_represent
+    primitive_pairs_in_tree   find_sequence's primitive nodes        test_represent, test_warray
+    word_by_upward_walk       is_subtree's witness word              test_order
+    first_levels              is_subtree's witness level             test_order
+    fixing_words              self_containment                       test_order
+    ancestor_rings            least_upper_bound's ancestor sets      test_order
+    nearest_common_ancestors  least_upper_bound                      test_order
+
+`tests/test_source_hygiene.py` holds each oracle apart from the library
+code it checks: none of them names that code.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import astuple
 from decimal import Decimal, localcontext
-from itertools import product
+from itertools import islice, product
 
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
@@ -388,6 +405,19 @@ def word_by_upward_walk(level: int, pos: int) -> MapWord:
     return MapWord(tuple(atoms))
 
 
+def first_levels(nodes: Iterable[tuple[int, int, int, int, str]]) -> dict[tuple[int, int], int]:
+    """{(label, parent label): first level} over the u-node rows of `u_nodes`, a scan of rule-built levels.
+
+    A tree F[c, d] other than the host sits in it at the first level
+    with a u-node labeled c under a parent labeled d - c: that u-node's
+    v-child carries c + (d - c) = d.
+    """
+    first: dict[tuple[int, int], int] = {}
+    for n, _, label, above_label, _ in nodes:
+        first.setdefault((label, above_label), n)
+    return first
+
+
 def check_order_brute_force() -> list[dict]:
     """is_subtree, with no cap, agrees with scanning rule-built levels 1..12 for the witness node.
 
@@ -421,10 +451,7 @@ def check_order_brute_force() -> list[dict]:
         if scanned != closed:
             bad = next((x, y) for x, y in zip(scanned + [None], closed + [None]) if x != y)
             failures.append(_fail("u-nodes", f"{parent}: scan gives {bad[0]}, closed form {bad[1]}"))
-        # first level of each (label, parent label) of a u-node
-        first: dict[tuple[int, int], int] = {}
-        for n, _, label, above_label, _ in scanned:
-            first.setdefault((label, above_label), n)
+        first = first_levels(scanned)
         for child in trees:
             witness = is_subtree(child, parent)
             brute = 0 if child == parent else first.get((child.a, child.b - child.a))
@@ -447,24 +474,30 @@ def check_order_antisymmetry() -> list[dict]:
     return failures
 
 
-def check_self_containment() -> list[dict]:
-    """self_containment of the 169 trees with |a|, |b| <= 6 against every forward word up to length 10, unpruned.
+def fixing_words(t: FibTree, depth: int) -> list[MapWord]:
+    """Every nonempty forward word of length <= depth that fixes t's identity, shortest first, found unpruned.
 
     Layer k holds the values, as bare int pairs, of all 2^k words of
     length k, ordered by their atoms read as k bits (L = 0, R = 1, first
     atom highest), so layer k + 1 is L, then R, applied to every value of
     layer k: L(a, b) = (b - 1, a + b - 1), R(a, b) = (a + b, a + 2b).
     """
+    words, layer = [], [(t.a, t.b)]
+    for k in range(1, depth + 1):
+        layer = [(y - 1, x + y - 1) for x, y in layer] + [(x + y, x + 2 * y) for x, y in layer]
+        words += [
+            MapWord(tuple(Atom.R if i >> (k - 1 - j) & 1 else Atom.L for j in range(k)))
+            for i, z in enumerate(layer)
+            if z == (t.a, t.b)
+        ]
+    return words
+
+
+def check_self_containment() -> list[dict]:
+    """self_containment of the 169 trees with |a|, |b| <= 6 against `fixing_words` up to length 10."""
     failures = []
     for a, b in product(range(-6, 7), repeat=2):
-        want, layer = [], [(a, b)]
-        for k in range(1, 11):
-            layer = [(y - 1, x + y - 1) for x, y in layer] + [(x + y, x + 2 * y) for x, y in layer]
-            want += [
-                MapWord(tuple(Atom.R if i >> (k - 1 - j) & 1 else Atom.L for j in range(k)))
-                for i, z in enumerate(layer)
-                if z == (a, b)
-            ]
+        want = fixing_words(FibTree(a, b), 10)
         got = self_containment(FibTree(a, b), 10)
         if got != want:
             failures.append(_fail("self-containment", f"F[{a},{b}]: {len(got)} words, enumeration {len(want)}"))
@@ -484,14 +517,39 @@ def check_order_map_consistency() -> list[dict]:
     return failures
 
 
+def ancestor_rings(t: FibTree) -> Iterator[set[tuple[int, int]]]:
+    """A(0), A(1), ...: the (a, b) of W^-1(t) over all inverse words W of length <= r, built through GoldInt and `_apply_atom`.
+
+    Layer r lists the images of all 2^r inverse words of length r, as
+    int pairs, repeats included; A(r) is A(r - 1) with layer r added.
+    """
+    layer, ring = [(t.a, t.b)], {(t.a, t.b)}
+    while True:
+        yield ring
+        images = (_apply_atom(atom, GoldInt(a, b)) for a, b in layer for atom in (Atom.LINV, Atom.RINV))
+        layer = [(z.a, z.b) for z in images]
+        ring = ring.union(layer)
+
+
+def nearest_common_ancestors(rings1: Iterable[set], rings2: Iterable[set]) -> list[FibTree]:
+    """The trees of the first meeting ring pair that contain no other tree of it, in sorted (a, b) order; [] if none meets.
+
+    The rings are taken pairwise, A1(r) with A2(r), so a search to depth d
+    passes the rings of radius 0..d.  Containment is `is_subtree`'s.
+    """
+    common = next((c for c in map(set.intersection, rings1, rings2) if c), set())
+    trees = [FibTree(*x) for x in sorted(common)]
+    return [x for x in trees if not any(y != x and is_subtree(y, x) is not None for y in trees)]
+
+
 def check_lub() -> list[dict]:
     """Three documented joins, then every pair of the 49 trees with |a|, |b| <= 3; search depth 4.
 
-    Each tree's ancestor rings are built through GoldInt and `_apply_atom`
-    to radius 8.  At depth 4 the answer must be the containment-minimal
-    part of the first radius where the rings meet (`lub-oracle`); and
-    every pair that the conjugate-gap certificate `order._never_meet`
-    decides must have disjoint rings at radius 8 (`lub-never-meet`).
+    Each tree's `ancestor_rings` are built to radius 8.  At depth 4 the
+    answer must be `nearest_common_ancestors` of the rings to radius 4
+    (`lub-oracle`); and every pair that the conjugate-gap certificate
+    `order._never_meet` decides must have disjoint rings at radius 8
+    (`lub-never-meet`).
     """
     failures = []
     depth, radius = 4, 8
@@ -505,28 +563,14 @@ def check_lub() -> list[dict]:
     if least_upper_bound(t, t, depth) != [t]:
         failures.append(_fail("lub-reflexive", f"{t}"))
     trees = [FibTree(a, b) for a, b in product(range(-3, 4), repeat=2)]
-    rings = {}
-    for t in trees:
-        layer, rings[t] = [t.gold()], [{(t.a, t.b)}]
-        for _ in range(radius):
-            layer = [_apply_atom(atom, z) for z in layer for atom in (Atom.LINV, Atom.RINV)]
-            rings[t].append(rings[t][-1] | {(z.a, z.b) for z in layer})
+    rings = {t: list(islice(ancestor_rings(t), radius + 1)) for t in trees}
     for i, t1 in enumerate(trees):
         for t2 in trees[i:]:
             if _never_meet(t1, t2) and not rings[t1][radius].isdisjoint(rings[t2][radius]):
                 failures.append(_fail("lub-never-meet", f"{t1}, {t2}: decided apart, yet meet within radius {radius}"))
-    memo: dict[tuple, bool] = {}  # (y, x) -> is y inside x, for this check only
-
-    def inside(y: tuple[int, int], x: tuple[int, int]) -> bool:
-        if (y, x) not in memo:
-            memo[y, x] = is_subtree(FibTree(*y), FibTree(*x)) is not None
-        return memo[y, x]
-
     for i, t1 in enumerate(trees):
         for t2 in trees[i + 1 :]:
-            met = map(set.intersection, rings[t1][: depth + 1], rings[t2][: depth + 1])
-            common = next((c for c in met if c), set())
-            want = [FibTree(*x) for x in sorted(common) if not any(y != x and inside(y, x) for y in common)]
+            want = nearest_common_ancestors(rings[t1][: depth + 1], rings[t2][: depth + 1])
             got = least_upper_bound(t1, t2, depth)
             if got != want:
                 failures.append(_fail("lub-oracle", f"join of {t1}, {t2}: {[str(t) for t in got]}"))

@@ -14,7 +14,6 @@ from fibtree.cli import run
 from fibtree.represent import find_interval_level, find_sequence
 from fibtree.tree import FibTree
 from fibtree.wythoff import FibSeq, u
-from test_represent import _count_calls
 from test_warray import g_decimal_oracle
 
 
@@ -96,10 +95,10 @@ def test_tree_json_parent_positions(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_tree_dump_reads_one_word_and_no_beatty_floor(monkeypatch, capsys, fmt):
+def test_tree_dump_reads_one_word_and_no_beatty_floor(count_calls, capsys, fmt):
     # every level's letters and parent positions come off word(levels): no u or u_count call,
     # counted in each fibtree module that binds them
-    calls = _count_calls(monkeypatch, "u", "u_count", "word")
+    calls = count_calls("u", "u_count", "word")
     code = run(["tree", "--id", "3,-5", "--levels", "20", "--format", fmt])
     capsys.readouterr()
     assert code == 0

@@ -21,8 +21,6 @@ from fibtree.goldring import (
 )
 from fibtree.order import _conjugate_gap
 from fibtree.tree import FibTree
-from fibtree.verify import gold_sign_oracle
-from test_represent import _count_calls
 
 ints = st.integers(min_value=-(10**9), max_value=10**9)
 gold = st.builds(GoldInt, ints, ints)
@@ -87,11 +85,6 @@ def test_gold_sign_zero_only_at_zero_small_grid():
     for a in range(-30, 31):
         for b in range(-30, 31):
             assert (gold_sign(GoldInt(a, b)) == 0) == (a == 0 and b == 0)
-
-
-@given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=-1000, max_value=1000))
-def test_gold_sign_matches_decimal_oracle(a, b):
-    assert gold_sign(GoldInt(a, b)) == gold_sign_oracle(a, b)
 
 
 def test_apply_map_anchors():
@@ -206,8 +199,8 @@ def _phi_log_cases(digits):
 
 
 @pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
-def test_phi_log_is_the_least_power_from_one_doubling_and_three_sign_tests(monkeypatch, digits):
-    calls = _count_calls(monkeypatch, "_sign", "_fib_signed")
+def test_phi_log_is_the_least_power_from_one_doubling_and_three_sign_tests(count_calls, digits):
+    calls = count_calls("_sign", "_fib_signed")
     ms = []
     for z, w in _phi_log_cases(digits):
         calls.clear()

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import count, islice, product
 
 import pytest
 
@@ -8,9 +8,9 @@ from fibtree import order, represent
 from fibtree.fibword import U
 from fibtree.goldring import Atom, GoldInt, MapWord, _apply_atom, fib, fixed_point
 from fibtree.order import SubtreeWitness, _inverse_steps, _never_meet, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
-from fibtree.tree import FibTree, NodeRef, build_levels, node_label, parent_label
+from fibtree.tree import FibTree, NodeRef, node_label, parent_label, u_nodes
+from fibtree.verify import ancestor_rings, first_levels, fixing_words, nearest_common_ancestors, word_by_upward_walk
 from fibtree.wythoff import u
-from test_represent import _count_calls
 
 T01 = FibTree(0, 1)
 T12 = FibTree(1, 2)
@@ -50,33 +50,6 @@ def test_witness_word_and_node_are_consistent():
         assert parent_label(parent, NodeRef(w.level, w.pos)) == child.b - child.a
 
 
-def test_is_subtree_matches_brute_force_grid():
-    grid = 2
-    cap = 10
-    trees = [FibTree(a, b) for a in range(-grid, grid + 1) for b in range(-grid, grid + 1)]
-    for parent in trees:
-        levels = build_levels(parent, cap)
-        per_level = []
-        for n in range(cap + 1):
-            if n == 0:
-                per_level.append(set())
-                continue
-            above = levels[n - 1]
-            per_level.append(
-                {(lab, above[pp - 1][0]) for lab, let, pp in levels[n] if let == U}
-            )
-        for child in trees:
-            got = is_subtree(child, parent, level_cap=cap)
-            if child == parent:
-                assert got is not None and got.level == 0
-                continue
-            brute = next(
-                (n for n in range(1, cap + 1) if (child.a, child.b - child.a) in per_level[n]),
-                None,
-            )
-            assert (got.level if got else None) == brute
-
-
 def test_subtree_at_anchors():
     assert subtree_at(T01, MapWord((Atom.L,))) == T00
     assert subtree_at(T01, MapWord((Atom.R,))) == T12
@@ -102,34 +75,9 @@ def test_self_containment_anchors():
     assert self_containment(T01, 8) == []
 
 
-def test_self_containment_exhaustive_small_grid():
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            words = self_containment(FibTree(a, b), 7)
-            if (a, b) == (1, 2):
-                assert all(set(w.atoms) == {Atom.L} for w in words)
-            elif (a, b) == (0, 0):
-                assert all(set(w.atoms) == {Atom.R} for w in words)
-            else:
-                assert words == []
-
-
 def test_self_containment_depth_validation():
     with pytest.raises(ValueError):
         self_containment(T01, 0)
-
-
-def test_antisymmetry_small_grid():
-    trees = [FibTree(a, b) for a in range(-3, 4) for b in range(-3, 4)]
-    inside = {}
-    for x in trees:
-        for y in trees:
-            if x != y:
-                inside[(x, y)] = is_subtree(y, x, level_cap=12) is not None
-    for x in trees:
-        for y in trees:
-            if x != y:
-                assert not (inside[(x, y)] and inside[(y, x)])
 
 
 def test_lub_known_joins():
@@ -174,8 +122,8 @@ def test_lub_results_are_upper_bounds():
 # ---------------------------------------------------------------- reference scans
 #
 # Straight per-level forms of the searches: every level up to the cap for
-# is_subtree, every forward word up to the depth for self_containment,
-# every ancestor set rebuilt from scratch for least_upper_bound.
+# is_subtree here; for self_containment and least_upper_bound, the oracles
+# of fibtree.verify.
 
 
 def _reference_subtree(child, parent, cap):
@@ -198,34 +146,6 @@ def _assert_subtree_matches(child, parent, cap):
         assert got.word.is_forward()
         assert got.word.apply(parent.gold()) == child.gold()
     return got
-
-
-def _reference_self_containment(t, depth):
-    z0 = t.gold()
-    hits = []
-
-    def extend(atoms, value):
-        if atoms and value == z0:
-            hits.append(MapWord(atoms))
-        if len(atoms) < depth:
-            for a in (Atom.L, Atom.R):
-                extend((a,) + atoms, _apply_atom(a, value))
-
-    extend((), z0)
-    return sorted(hits, key=lambda w: (len(w), w.tokens()))
-
-
-def _reference_ancestors(t, depth):
-    out = set()
-
-    def extend(length, value):
-        out.add((value.a, value.b))
-        if length < depth:
-            for a in (Atom.LINV, Atom.RINV):
-                extend(length + 1, _apply_atom(a, value))
-
-    extend(0, t.gold())
-    return out
 
 
 PARENTS = [
@@ -320,13 +240,7 @@ def test_is_subtree_matches_reference_scan_near_the_strip():
 def test_is_subtree_matches_rule_built_levels_at_cap_20():
     cap = 20
     for parent in (T01, FibTree(-1, 2), FibTree(3, 3), FibTree(-2, 1)):
-        levels = build_levels(parent, cap)
-        first = {}
-        for n in range(1, cap + 1):
-            above = levels[n - 1]
-            for label, letter, ppos in levels[n]:
-                if letter == U:
-                    first.setdefault((label, above[ppos - 1][0]), n)
+        first = first_levels(u_nodes(parent, cap))
         sampled = random.Random(str(parent)).sample(sorted(first), 300)
         grid = [(c, rank) for c in range(-15, 16) for rank in range(-15, 16)]
         for c, rank in sampled + grid:
@@ -337,19 +251,19 @@ def test_is_subtree_matches_rule_built_levels_at_cap_20():
             assert (got.level if got else None) == first.get((c, rank)), (child, parent)
 
 
-def test_is_subtree_miss_costs_bit_length_not_cap(monkeypatch):
+def test_is_subtree_miss_costs_bit_length_not_cap(count_calls):
     # the scan's per-level primitives: sign tests, and u, which the scan need not call
     known = {(c, d) for c in range(-30, 31) for d in range(-30, 31)}
     misses = [(7, 4)] + [cd for cd in sorted(known) if is_subtree(FibTree(*cd), T01, 40) is None][::37]
-    calls = _count_calls(monkeypatch, "_sign", "u")
+    calls = count_calls("_sign", "u")
     for (c, d), cap in product(misses, (5000, None)):
         calls.clear()
         assert is_subtree(FibTree(c, d), T01, level_cap=cap) is None
         assert len(calls) <= 64, (c, d, cap, calls)
 
 
-def test_is_subtree_hit_at_the_first_level_in_range_makes_no_u_call(monkeypatch):
-    calls = _count_calls(monkeypatch, "u")
+def test_is_subtree_hit_at_the_first_level_in_range_makes_no_u_call(count_calls):
+    calls = count_calls("u")
     rng = random.Random(29)
     parents = [FibTree(a, b) for a in range(-5, 6) for b in range(-5, 6)]
     parents += [FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(3)]
@@ -404,18 +318,16 @@ def witnesses() -> list[tuple[int, int]]:
 
 
 def test_witness_word_equals_the_upward_walk(witnesses):
-    from fibtree.verify import word_by_upward_walk
-
     assert len(witnesses) > 1500
     for level, pos in witnesses:
         assert _word_to(level, pos) == word_by_upward_walk(level, pos), (level, pos)
 
 
-def test_witness_word_makes_one_doubling_and_no_beatty_call(monkeypatch, witnesses):
+def test_witness_word_makes_one_doubling_and_no_beatty_call(monkeypatch, count_calls, witnesses):
     # the walk reads subtree sizes off one _fib_pair(level); no u, u_count or letter_at call
     rng = random.Random(4787)
     deep = [(4787, u(k)) for k in (1, fib(4788), rng.randint(1, fib(4788)))]  # u-nodes: F_4788 u's at level 4787
-    calls = _count_calls(monkeypatch, "u", "u_count", "letter_at")
+    calls = count_calls("u", "u_count", "letter_at")
     # counted in order alone: _fib_pair recurses through goldring
     real_fib_pair = order._fib_pair
     monkeypatch.setattr(order, "_fib_pair", lambda n: calls.append(("_fib_pair", (n,))) or real_fib_pair(n))
@@ -429,13 +341,13 @@ def test_self_containment_matches_unpruned_enumeration():
     for a in range(-12, 13):
         for b in range(-12, 13):
             t = FibTree(a, b)
-            assert self_containment(t, 8) == _reference_self_containment(t, 8)
+            assert self_containment(t, 8) == fixing_words(t, 8)
     rng = random.Random(12)
     big = [FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(2)]
     big.append(FibTree(10**1000, -(10**1000 * 618033988) // 10**9))  # near z = 0
     for t in [T12, T00, T01, FibTree(1, 1), FibTree(-3, 5), FibTree(7, -4)] + big:
         for depth in (1, 2, 11, 12):
-            assert self_containment(t, depth) == _reference_self_containment(t, depth)
+            assert self_containment(t, depth) == fixing_words(t, depth)
 
 
 def test_self_containment_matches_unpruned_enumeration_in_the_strip():
@@ -443,7 +355,7 @@ def test_self_containment_matches_unpruned_enumeration_in_the_strip():
     for k in (3, 30, 1000):
         b = 10**k
         t = FibTree(1 - u(b), b)
-        assert self_containment(t, 12) == _reference_self_containment(t, 12) == []
+        assert self_containment(t, 12) == fixing_words(t, 12) == []
 
 
 def test_self_containment_check_catches_a_dropped_tree(monkeypatch):
@@ -457,20 +369,45 @@ def test_self_containment_check_catches_a_dropped_tree(monkeypatch):
     assert failures == [{"check": "self-containment", "detail": "F[0,0]: 0 words, enumeration 10"}]
 
 
-def test_lub_matches_ancestor_sets_rebuilt_per_radius():
+def test_lub_equals_the_ring_oracle_list_for_list():
+    def small(rng):
+        return FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+
     rng = random.Random(5)
-    for _ in range(60):
-        t1 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
-        t2 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
-        depth = rng.randint(1, 7)
-        common = set()
-        for d in range(depth + 1):
-            common = _reference_ancestors(t1, d) & _reference_ancestors(t2, d)
-            if common:
-                break
-        got = least_upper_bound(t1, t2, depth)
-        assert {(x.a, x.b) for x in got} <= common
-        assert bool(got) == bool(common)
+    cases = [(small(rng), small(rng), rng.randint(1, 7)) for _ in range(60)]
+    rng = random.Random(17)
+    cases += [(small(rng), small(rng), rng.randint(1, 10)) for _ in range(300)]
+    # L^-1 fixes F[1,2] and R^-1 fixes F[0,0]: each radius steps back onto identities already seen.
+    for t in (T12, T00, T01, FibTree(-1, 2), FibTree(4, -3)):
+        for depth in (1, 3, 6):
+            cases += [(T12, t, depth), (t, T00, depth)]
+    cases += [(FibTree(-1, 2), FibTree(-3, 5), 4), (T00, T12, 2), (FibTree(4, -3), FibTree(4, -3), 4)]
+    g = FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000))
+    t1 = subtree_at(g, MapWord((Atom.L, Atom.R)))
+    t2 = subtree_at(g, MapWord((Atom.R, Atom.L, Atom.L)))
+    cases += [(t1, t2, 6), (g, t2, 6), (g, FibTree(rng.randint(-10**1000, 10**1000), 5), 6)]
+    # The library's frontier at radius r holds every inverse word's image, repeats included: on the
+    # lineages of F[1,2] and F[0,0] the same identity comes back each radius, and F[-11,-18]
+    # reaches F[1,-2] both by L^-4 and by R^-3.
+    repeating = [T12, T00, FibTree(3, 5), FibTree(-11, -18)]
+    grid = [FibTree(a, b) for a in range(-8, 9) for b in range(-8, 9)]
+    cases += [(x, y, depth) for x in repeating for y in repeating + grid for depth in range(1, 13)]
+    rng = random.Random(23)
+    cases += [(rng.choice(grid), rng.choice(grid), depth) for depth in range(1, 13) for _ in range(20)]
+    assert len(cases) == 14700
+    # each tree's rings are built once, and only as far as some case's first meeting radius
+    built = {}
+
+    def rings(t):
+        done, more = built.setdefault(t, ([], ancestor_rings(t)))
+        for r in count():
+            if r == len(done):
+                done.append(next(more))
+            yield done[r]
+
+    for t1, t2, depth in cases:
+        want = nearest_common_ancestors(islice(rings(t1), depth + 1), islice(rings(t2), depth + 1))
+        assert least_upper_bound(t1, t2, depth) == want, (t1, t2, depth)
 
 
 def test_inverse_steps_match_apply_atom():
@@ -492,88 +429,11 @@ def test_inverse_steps_match_apply_atom():
     assert got == linv + rinv  # every L^-1 image, then every R^-1 image, in frontier order
 
 
-def _goldint_lub(t1, t2, depth):
-    """The join search with every ancestor built as a GoldInt through _apply_atom."""
-    level_cap = 4 * depth + 2
-
-    def widen(seen, frontier):
-        fresh = set()
-        for a, b in frontier:
-            for atom in (Atom.LINV, Atom.RINV):
-                z = _apply_atom(atom, GoldInt(a, b))
-                if (z.a, z.b) not in seen:
-                    fresh.add((z.a, z.b))
-        seen |= fresh
-        return fresh
-
-    seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
-    front1, front2 = set(seen1), set(seen2)
-    for _ in range(depth):
-        if seen1 & seen2:
-            break
-        front1, front2 = widen(seen1, front1), widen(seen2, front2)
-    trees = [FibTree(a, b) for a, b in sorted(seen1 & seen2)]
-    return [x for x in trees if not any(y != x and is_subtree(y, x, level_cap) for y in trees)]
-
-
-def test_lub_equals_goldint_search_list_for_list():
-    rng = random.Random(17)
-    cases = []
-    for _ in range(300):
-        t1 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
-        t2 = FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
-        cases.append((t1, t2, rng.randint(1, 10)))
-    # L^-1 fixes F[1,2] and R^-1 fixes F[0,0]: each radius steps back onto identities already seen.
-    for t in (T12, T00, T01, FibTree(-1, 2), FibTree(4, -3)):
-        for depth in (1, 3, 6):
-            cases += [(T12, t, depth), (t, T00, depth)]
-    cases += [(FibTree(-1, 2), FibTree(-3, 5), 4), (T00, T12, 2), (FibTree(4, -3), FibTree(4, -3), 4)]
-    g = FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000))
-    t1 = subtree_at(g, MapWord((Atom.L, Atom.R)))
-    t2 = subtree_at(g, MapWord((Atom.R, Atom.L, Atom.L)))
-    cases += [(t1, t2, 6), (g, t2, 6), (g, FibTree(rng.randint(-10**1000, 10**1000), 5), 6)]
-    for t1, t2, depth in cases:
-        assert least_upper_bound(t1, t2, depth) == _goldint_lub(t1, t2, depth), (t1, t2, depth)
-
-
-def _set_frontier_lub(t1, t2, depth):
-    """The join search with set frontiers: each radius steps only the identities first reached at the previous one."""
-
-    def steps(front):
-        return {z for a, b in front for z in ((b - a, a + 1), (2 * a - b, b - a))}
-
-    level_cap = 4 * depth + 2
-    seen1, seen2 = {(t1.a, t1.b)}, {(t2.a, t2.b)}
-    front1, front2 = set(seen1), set(seen2)
-    for _ in range(depth):
-        if not seen1.isdisjoint(seen2):
-            break
-        front1 = steps(front1) - seen1
-        front2 = steps(front2) - seen2
-        seen1 |= front1
-        seen2 |= front2
-    trees = [FibTree(a, b) for a, b in sorted(seen1 & seen2)]
-    return [x for x in trees if not any(y != x and is_subtree(y, x, level_cap) for y in trees)]
-
-
-def test_lub_list_frontiers_equal_set_frontiers():
-    # The list frontier at radius r holds every inverse word's image, repeats included: on the
-    # lineages of F[1,2] (fixed by L^-1) and F[0,0] (fixed by R^-1) the same identity comes back
-    # each radius, and F[-11,-18] reaches F[1,-2] both by L^-4 and by R^-3.
-    repeating = [T12, T00, FibTree(3, 5), FibTree(-11, -18)]
-    grid = [FibTree(a, b) for a in range(-8, 9) for b in range(-8, 9)]
-    cases = [(x, y, depth) for x in repeating for y in repeating + grid for depth in range(1, 13)]
-    rng = random.Random(23)
-    cases += [(rng.choice(grid), rng.choice(grid), depth) for depth in range(1, 13) for _ in range(20)]
-    for t1, t2, depth in cases:
-        assert least_upper_bound(t1, t2, depth) == _set_frontier_lub(t1, t2, depth), (t1, t2, depth)
-
-
-@pytest.mark.parametrize("bound, radius, decided", [(3, 8, 756), (5, 11, 7206)])
+@pytest.mark.parametrize("bound, radius, decided", [(5, 11, 7206)])
 def test_lub_certificate_is_sound_and_symmetric(bound, radius, decided):
-    # every ordered pair of the grid; ancestor sets built once per tree, through GoldInt and _apply_atom
+    # every ordered pair of the grid; ancestor sets built once per tree
     trees = [FibTree(a, b) for a, b in product(range(-bound, bound + 1), repeat=2)]
-    ancestors = {t: _reference_ancestors(t, radius) for t in trees}
+    ancestors = {t: next(islice(ancestor_rings(t), radius, None)) for t in trees}
     apart = [(t1, t2) for t1, t2 in product(trees, repeat=2) if _never_meet(t1, t2)]
     assert len(apart) == decided
     for t1, t2 in apart:
@@ -595,8 +455,8 @@ def _certificate_pairs(digits):
 
 
 @pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
-def test_lub_certificate_makes_one_doubling_at_any_size(monkeypatch, digits):
-    calls = _count_calls(monkeypatch, "_fib_signed", "_sign")
+def test_lub_certificate_makes_one_doubling_at_any_size(count_calls, digits):
+    calls = count_calls("_fib_signed", "_sign")
     for t1, t2 in _certificate_pairs(digits):
         calls.clear()
         _never_meet(t1, t2)

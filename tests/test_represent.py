@@ -1,5 +1,3 @@
-import importlib
-import pkgutil
 import random
 from collections import Counter
 
@@ -41,21 +39,6 @@ def test_classify_boundaries_are_strict():
     assert classify(FibTree(0, 1)) is TreeClass.REPRESENTS_Z
     assert classify(FibTree(2, 2)) is TreeClass.POSITIVE_SIDE
     assert classify(FibTree(2, -2)) is TreeClass.NONPOSITIVE_SIDE
-
-
-def test_classify_partitions_grid():
-    for a in range(-8, 9):
-        for b in range(-8, 9):
-            t = FibTree(a, b)
-            cls = classify(t)
-            low = gold_sign(t.gold())
-            high = gold_sign(GoldInt(a - 1, b - 2))
-            if low > 0 and high < 0:
-                assert cls is TreeClass.REPRESENTS_Z
-            elif low <= 0:
-                assert cls is TreeClass.NONPOSITIVE_SIDE
-            else:
-                assert cls is TreeClass.POSITIVE_SIDE
 
 
 @pytest.mark.parametrize("lo,hi,want", [(-7, 5, 5), (0, 0, 0), (-100, 100, 12)])
@@ -487,9 +470,9 @@ def test_find_sequence_cap_below_jump_target_keeps_error_text():
         assert str(exc.value) == f"no occurrence of {s} in {T01} within level cap {cap}"
 
 
-def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
+def test_find_sequence_costs_bit_length_not_levels(count_calls):
     # the scan's per-level primitives: sign tests, and u, which the scan need not call
-    calls = _count_calls(monkeypatch, "_sign", "u")
+    calls = count_calls("_sign", "u")
     rng = random.Random(36)
     for _ in range(3):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
@@ -500,35 +483,10 @@ def test_find_sequence_costs_bit_length_not_levels(monkeypatch):
             assert len(calls) <= 64, [name for name, _ in calls]
 
 
-def _count_calls(monkeypatch, *names: str) -> list[tuple[str, tuple]]:
-    """(name, args) of every call to the named fibtree functions from here on.
-
-    Each fibtree module that binds one of them gets the counting wrapper, its home module
-    included, so a call counts wherever it is made: u_inverse calls u in wythoff, and
-    `goldring._phi_log` calls `_sign` and `_fib_signed` in goldring."""
-    import fibtree
-
-    modules = [fibtree] + [
-        importlib.import_module(f"fibtree.{m.name}") for m in pkgutil.iter_modules(fibtree.__path__) if m.name != "__main__"
-    ]
-    calls = []
-    for name in names:
-        real = next(getattr(module, name) for module in modules if hasattr(module, name))
-
-        def counted(*args, name=name, real=real):
-            calls.append((name, args))
-            return real(*args)
-
-        for module in modules:
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_find_sequence_thousand_digit_seed_makes_no_u_call(monkeypatch):
+def test_find_sequence_thousand_digit_seed_makes_no_u_call(count_calls):
     # j and u(j) are read off the aligned pair, the scan tests its interval by signs, and the
     # witness position is pos + k - 1 by the v-from-uu identity: no Beatty floor anywhere
-    calls = _count_calls(monkeypatch, "u")
+    calls = count_calls("u")
     rng = random.Random(38)
     for _ in range(6):
         s = FibSeq(rng.randint(10**999, 10**1000), rng.randint(-(10**1000), 10**1000))
@@ -542,10 +500,10 @@ def test_find_sequence_thousand_digit_seed_makes_no_u_call(monkeypatch):
 
 @pytest.mark.parametrize("tree", [T01, FibTree(-10, 7)], ids=str)
 @pytest.mark.parametrize("digits", [10, 100, 1000, 4000])
-def test_find_sequence_works_at_the_seed_width(monkeypatch, tree, digits):
+def test_find_sequence_works_at_the_seed_width(count_calls, tree, digits):
     # the alignment walks on the seed, and the witness level is placed against I by a product
     # pair: every sign test stays within two bits of the seed, and no Beatty floor runs
-    calls = _count_calls(monkeypatch, "_sign", "u")
+    calls = count_calls("_sign", "u")
     rng = random.Random(digits)
     for _ in range(3):
         s = FibSeq(rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits), rng.randint(-(10**digits), 10**digits))
@@ -558,12 +516,12 @@ def test_find_sequence_works_at_the_seed_width(monkeypatch, tree, digits):
 
 
 @pytest.mark.parametrize("b, subtree_level", [(10**999 + 7, 4785), (10**3999 + 7, 19139)])
-def test_strip_tree_scans_start_where_the_guest_can_sit(monkeypatch, b, subtree_level):
+def test_strip_tree_scans_start_where_the_guest_can_sit(count_calls, b, subtree_level):
     # F[1 - u(b), b] has |eps_0| about b, so thousands of levels are in range before the guest
     # F[5,8] can sit: the scan starts there, by one evaluation of the level edges, and tests a
     # few levels by signs
     strip = FibTree(1 - u(b), b)
-    calls = _count_calls(monkeypatch, "u", "_edges", "_sign")
+    calls = count_calls("u", "_edges", "_sign")
     for cap in (10**6, None):
         calls.clear()
         w = is_subtree(FibTree(5, 8), strip, cap)
@@ -577,9 +535,9 @@ def test_strip_tree_scans_start_where_the_guest_can_sit(monkeypatch, b, subtree_
         assert counts["u"] == 0 and counts["_edges"] <= 2 and counts["_sign"] <= 64, counts
 
 
-def test_find_interval_level_costs_bit_length_not_levels(monkeypatch):
+def test_find_interval_level_costs_bit_length_not_levels(count_calls):
     # the scan jumps past the 10^4 levels out of range: one evaluation of the level edges
-    calls = _count_calls(monkeypatch, "_edges")
+    calls = count_calls("_edges")
     rng = random.Random(37)
     for t in (T01, FibTree(-1, 2), FibTree(-60, 38)):
         calls.clear()

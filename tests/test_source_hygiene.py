@@ -9,6 +9,8 @@ searches in `represent.py` and `order.py` run on bare ints: they name no
 `GoldInt`.  Every cache is bounded: each `lru_cache` names a finite
 `maxsize`, and `functools.cache` is not used.  The checks of
 `verify.SUITES` take no arguments but `check_consecutive_labels(max_level)`.
+Each oracle in the table of `verify`'s docstring names none of the library
+code it checks, directly or through another function of `verify.py`.
 """
 
 import ast
@@ -127,3 +129,32 @@ def test_verify_checks_run_at_one_fixed_scale():
         check.__name__: list(inspect.signature(check).parameters) for checks in SUITES.values() for check in checks
     }
     assert {name: p for name, p in params.items() if p} == {"check_consecutive_labels": ["max_level"]}
+
+
+# The oracles of `verify`'s docstring table, in its order, and the library code each one checks.
+ORACLE_CHECKS = {
+    "beatty_oracle": {"u", "v", "u_inverse"},
+    "gold_sign_oracle": {"_sign", "gold_sign"},
+    "verify_lemma_shift": {"first_witness", "_steps_below"},
+    "primitive_pairs_in_tree": {"find_sequence", "first_witness"},
+    "word_by_upward_walk": {"_word_to"},
+    "first_levels": {"is_subtree", "first_witness"},
+    "fixing_words": {"self_containment"},
+    "ancestor_rings": {"_inverse_steps", "least_upper_bound", "_never_meet"},
+    "nearest_common_ancestors": {"_inverse_steps", "least_upper_bound", "_never_meet"},
+}
+
+
+def test_oracles_name_none_of_the_code_they_check():
+    import fibtree.verify
+
+    rows = re.findall(r"^    (\w+)  ", fibtree.verify.__doc__, re.M)
+    assert rows == ["oracle", *ORACLE_CHECKS]
+    defs = {node.name: node for node in _tree(SRC / "verify.py").body if isinstance(node, ast.FunctionDef)}
+    for oracle, checked in ORACLE_CHECKS.items():
+        named, todo = set(), [oracle]
+        while todo:
+            fresh = {_name(node) for node in ast.walk(defs[todo.pop()])} - named - {None}
+            named |= fresh
+            todo += [name for name in fresh if name in defs]
+        assert named & checked == set(), oracle

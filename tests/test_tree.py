@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fibtree.fibword import MAX_WORD_LEVEL, U, V, letter_at, u_count, v_count, word
+from fibtree.fibword import MAX_WORD_LEVEL, U, V, u_count, v_count, word
 from fibtree.goldring import _fib_pair, fib, phi_pow
 from fibtree.wythoff import FibSeq, u, v
 from fibtree.tree import (
@@ -58,16 +58,7 @@ def test_rules_cap():
         build_levels(T01, MAX_WORD_LEVEL + 1)
     with pytest.raises(ValueError, match="cap"):
         next(u_nodes(T01, MAX_WORD_LEVEL + 1))
-
-
-def test_rules_equal_closed_form_small_grid():
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            t = FibTree(a, b)
-            levels = build_levels(t, 12)
-            for n, row in enumerate(levels):
-                assert [x[0] for x in row] == list(range(t.lo(n), t.hi(n) + 1))
-                assert "".join(x[1] for x in row) == word(n)
+    assert list(u_nodes(T01, 0)) == []
 
 
 def test_node_label_worked_example():
@@ -102,19 +93,6 @@ def test_node_queries_match_rules_everywhere():
                 assert node_label(t, NodeRef(n, pos)) == (label, letter)
                 if n > 0:
                     assert parent_label(t, NodeRef(n, pos)) == levels[n - 1][ppos - 1][0]
-
-
-def test_u_nodes_match_closed_forms():
-    for t in (T01, T12, FibTree(-2, 3)):
-        got = list(u_nodes(t, 12))
-        want = [
-            (n, pos, node_label(t, NodeRef(n, pos))[0], parent_label(t, NodeRef(n, pos)), letter_at(u_count(pos)))
-            for n in range(1, 13)
-            for pos in range(1, fib(n + 2) + 1)
-            if letter_at(pos) == U
-        ]
-        assert got == want
-    assert list(u_nodes(T01, 0)) == []
 
 
 def test_parent_child_duality():

@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibtree.verify import TABLE_RANKS, TABLE_U, TABLE_V, beatty_oracle
+from fibtree.verify import beatty_oracle
 from fibtree.represent import _row_alignment
 from fibtree.wythoff import FibSeq, reference_index, u, u_inverse, v
-
-
-def test_pair_table_fixture():
-    assert [u(n) for n in TABLE_RANKS] == TABLE_U
-    assert [v(n) for n in TABLE_RANKS] == TABLE_V
 
 
 @pytest.mark.parametrize("n,want", [(4, 6), (0, -1), (-6, -10), (1, 1), (7, 11)])
@@ -20,15 +15,6 @@ def test_u_examples(n, want):
 @pytest.mark.parametrize("n,want", [(2, 5), (0, -1), (-3, -8)])
 def test_v_examples(n, want):
     assert v(n) == want
-
-
-def test_identities_exhaustive_small():
-    for n in range(-1000, 1001):
-        assert v(n) == u(n) + n
-        assert v(n) == u(u(n)) + 1
-    for n in range(1, 1001):
-        assert u(-n) == -u(n) - 1
-        assert v(-n) == -v(n) - 1
 
 
 @given(st.integers(min_value=-(10**6), max_value=10**6))
@@ -52,18 +38,6 @@ def test_u_inverse_none_off_image():
             assert got is not None and u(got) == y
         else:
             assert got is None
-
-
-def test_complementarity_up_to_100k():
-    limit = 10**5
-    seen = bytearray(limit + 1)
-    n = 1
-    while u(n) <= limit or v(n) <= limit:
-        for val in (u(n), v(n)):
-            if val <= limit:
-                seen[val] += 1
-        n += 1
-    assert all(seen[m] == 1 for m in range(1, limit + 1))
 
 
 @pytest.mark.parametrize(
