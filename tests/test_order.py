@@ -369,33 +369,11 @@ def test_self_containment_check_catches_a_dropped_tree(monkeypatch):
     assert failures == [{"check": "self-containment", "detail": "F[0,0]: 0 words, enumeration 10"}]
 
 
-def test_lub_equals_the_ring_oracle_list_for_list():
-    def small(rng):
-        return FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+@pytest.fixture(scope="module")
+def ring_lub():
+    """ring_lub(t1, t2, depth): verify's nearest common ancestors, the oracle for least_upper_bound.
 
-    rng = random.Random(5)
-    cases = [(small(rng), small(rng), rng.randint(1, 7)) for _ in range(60)]
-    rng = random.Random(17)
-    cases += [(small(rng), small(rng), rng.randint(1, 10)) for _ in range(300)]
-    # L^-1 fixes F[1,2] and R^-1 fixes F[0,0]: each radius steps back onto identities already seen.
-    for t in (T12, T00, T01, FibTree(-1, 2), FibTree(4, -3)):
-        for depth in (1, 3, 6):
-            cases += [(T12, t, depth), (t, T00, depth)]
-    cases += [(FibTree(-1, 2), FibTree(-3, 5), 4), (T00, T12, 2), (FibTree(4, -3), FibTree(4, -3), 4)]
-    g = FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000))
-    t1 = subtree_at(g, MapWord((Atom.L, Atom.R)))
-    t2 = subtree_at(g, MapWord((Atom.R, Atom.L, Atom.L)))
-    cases += [(t1, t2, 6), (g, t2, 6), (g, FibTree(rng.randint(-10**1000, 10**1000), 5), 6)]
-    # The library's frontier at radius r holds every inverse word's image, repeats included: on the
-    # lineages of F[1,2] and F[0,0] the same identity comes back each radius, and F[-11,-18]
-    # reaches F[1,-2] both by L^-4 and by R^-3.
-    repeating = [T12, T00, FibTree(3, 5), FibTree(-11, -18)]
-    grid = [FibTree(a, b) for a in range(-8, 9) for b in range(-8, 9)]
-    cases += [(x, y, depth) for x in repeating for y in repeating + grid for depth in range(1, 13)]
-    rng = random.Random(23)
-    cases += [(rng.choice(grid), rng.choice(grid), depth) for depth in range(1, 13) for _ in range(20)]
-    assert len(cases) == 14700
-    # each tree's rings are built once, and only as far as some case's first meeting radius
+    Each tree's rings are built once for the module, and only as far as some case's first meeting radius."""
     built = {}
 
     def rings(t):
@@ -405,9 +383,52 @@ def test_lub_equals_the_ring_oracle_list_for_list():
                 done.append(next(more))
             yield done[r]
 
+    def lub(t1, t2, depth):
+        return nearest_common_ancestors(islice(rings(t1), depth + 1), islice(rings(t2), depth + 1))
+
+    return lub
+
+
+def _small(rng):
+    return FibTree(rng.randint(-12, 12), rng.randint(-12, 12))
+
+
+def test_lub_matches_ancestor_sets_rebuilt_per_radius(ring_lub):
+    rng = random.Random(5)
+    cases = [(_small(rng), _small(rng), rng.randint(1, 7)) for _ in range(60)]
     for t1, t2, depth in cases:
-        want = nearest_common_ancestors(islice(rings(t1), depth + 1), islice(rings(t2), depth + 1))
-        assert least_upper_bound(t1, t2, depth) == want, (t1, t2, depth)
+        assert least_upper_bound(t1, t2, depth) == ring_lub(t1, t2, depth), (t1, t2, depth)
+
+
+def test_lub_equals_goldint_search_list_for_list(ring_lub):
+    rng = random.Random(17)
+    cases = [(_small(rng), _small(rng), rng.randint(1, 10)) for _ in range(300)]
+    # L^-1 fixes F[1,2] and R^-1 fixes F[0,0]: each radius steps back onto identities already seen.
+    for t in (T12, T00, T01, FibTree(-1, 2), FibTree(4, -3)):
+        for depth in (1, 3, 6):
+            cases += [(T12, t, depth), (t, T00, depth)]
+    cases += [(FibTree(-1, 2), FibTree(-3, 5), 4), (T00, T12, 2), (FibTree(4, -3), FibTree(4, -3), 4)]
+    g = FibTree(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000))
+    t1 = subtree_at(g, MapWord((Atom.L, Atom.R)))
+    t2 = subtree_at(g, MapWord((Atom.R, Atom.L, Atom.L)))
+    cases += [(t1, t2, 6), (g, t2, 6), (g, FibTree(rng.randint(-10**1000, 10**1000), 5), 6)]
+    assert len(cases) == 336
+    for t1, t2, depth in cases:
+        assert least_upper_bound(t1, t2, depth) == ring_lub(t1, t2, depth), (t1, t2, depth)
+
+
+def test_lub_list_frontiers_equal_set_frontiers(ring_lub):
+    # The library's frontier at radius r holds every inverse word's image, repeats included: on the
+    # lineages of F[1,2] and F[0,0] the same identity comes back each radius, and F[-11,-18]
+    # reaches F[1,-2] both by L^-4 and by R^-3.
+    repeating = [T12, T00, FibTree(3, 5), FibTree(-11, -18)]
+    grid = [FibTree(a, b) for a in range(-8, 9) for b in range(-8, 9)]
+    cases = [(x, y, depth) for x in repeating for y in repeating + grid for depth in range(1, 13)]
+    rng = random.Random(23)
+    cases += [(rng.choice(grid), rng.choice(grid), depth) for depth in range(1, 13) for _ in range(20)]
+    assert len(cases) == 14304
+    for t1, t2, depth in cases:
+        assert least_upper_bound(t1, t2, depth) == ring_lub(t1, t2, depth), (t1, t2, depth)
 
 
 def test_inverse_steps_match_apply_atom():
