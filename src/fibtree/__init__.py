@@ -8,7 +8,7 @@ partial order, and the Wythoff array -- all in arbitrary-precision
 integer arithmetic, with no floating point anywhere in the core.
 """
 
-from .goldring import Atom, GoldInt, MapWord, fib, fixed_point, gold_sign, phi_pow
+from .goldring import Atom, GoldInt, MapWord, fib, gold_sign, phi_pow
 from .wythoff import FibSeq, reference_index, u, u_inverse, v
 from .fibword import letter_at, u_count, v_count, word
 from .tree import (
@@ -35,7 +35,7 @@ from .represent import (
 from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "Atom",
@@ -56,7 +56,6 @@ __all__ = [
     "fib",
     "find_interval_level",
     "find_sequence",
-    "fixed_point",
     "gold_sign",
     "hofstadter_g",
     "hofstadter_levels",

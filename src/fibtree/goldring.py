@@ -3,8 +3,8 @@
 Elements are coefficient pairs (a, b) standing for a + b*phi with
 phi = (1 + sqrt(5))/2, reduced by phi**2 = 1 + phi.  Everything is
 integer-exact: sign tests compare squares instead of evaluating square
-roots, and the four affine subtree maps are total bijections of the
-coefficient lattice.
+roots, and the two forward subtree maps L and R, whose words carry a
+tree to its subtrees, are affine maps of the coefficient lattice.
 """
 
 from __future__ import annotations
@@ -73,25 +73,12 @@ class GoldInt:
 
     __rmul__ = __mul__
 
-    def conj(self) -> GoldInt:
-        """Galois conjugate, phi -> 1 - phi."""
-        return GoldInt(self.a + self.b, -self.b)
-
-    def norm(self) -> int:
-        """Field norm a**2 + ab - b**2; multiplicative, zero only at zero."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}*phi"
 
 
-ZERO = GoldInt(0, 0)
 ONE = GoldInt(1, 0)
 PHI = GoldInt(0, 1)
-PHI_CUBED = GoldInt(1, 2)
 
 
 def phi_pow(k: int) -> GoldInt:
@@ -167,39 +154,22 @@ def _phi_log(z0: int, z1: int, w0: int, w1: int, walk: bool = True) -> tuple[int
 
 
 class Atom(Enum):
-    """One step of the subtree-identity maps, or its inverse."""
+    """One step of the subtree-identity maps: L(z) = phi*z - phi^2, R(z) = phi^2*z."""
 
     L = "L"
     R = "R"
-    LINV = "L^-1"
-    RINV = "R^-1"
-
-    @property
-    def inverse(self) -> Atom:
-        return _INVERSE[self]
-
-
-_INVERSE = {Atom.L: Atom.LINV, Atom.LINV: Atom.L, Atom.R: Atom.RINV, Atom.RINV: Atom.R}
-
-# Each atom acts affinely, z -> phi**k * z + beta; its exponent k:
-# L(z) = phi*z - phi^2, R(z) = phi^2 * z, and their inverses.
-_EXPONENT = {Atom.L: 1, Atom.R: 2, Atom.LINV: -1, Atom.RINV: -2}
 
 
 def _apply_atom(atom: Atom, z: GoldInt) -> GoldInt:
     a, b = z.a, z.b
     if atom is Atom.L:
         return GoldInt(b - 1, a + b - 1)
-    if atom is Atom.R:
-        return GoldInt(a + b, a + 2 * b)
-    if atom is Atom.LINV:
-        return GoldInt(b - a, a + 1)
-    return GoldInt(2 * a - b, b - a)
+    return GoldInt(a + b, a + 2 * b)
 
 
 @dataclass(frozen=True)
 class MapWord:
-    """A finite composition of L, R, L^-1, R^-1.
+    """A finite composition of L and R, the descent from a tree to one of its subtrees.
 
     Atoms compose like functions: the rightmost atom acts first.  The
     empty word is the identity.
@@ -215,44 +185,8 @@ class MapWord:
             z = _apply_atom(atom, z)
         return z
 
-    def inverse(self) -> MapWord:
-        return MapWord(tuple(a.inverse for a in reversed(self.atoms)))
-
-    def is_forward(self) -> bool:
-        return all(a is Atom.L or a is Atom.R for a in self.atoms)
-
-    def affine_parts(self) -> tuple[int, GoldInt]:
-        """(k, beta) such that the word acts as z -> phi**k * z + beta.
-
-        k adds up the atoms' exponents, and beta is the image of 0.
-        """
-        return sum(_EXPONENT[a] for a in self.atoms), self.apply(ZERO)
-
     def tokens(self) -> list[str]:
         return [a.value for a in self.atoms]
 
     def __str__(self) -> str:
         return " ".join(self.tokens()) if self.atoms else "<identity>"
-
-
-def fixed_point(word: MapWord) -> GoldInt | None:
-    """The unique real fixed point of a nonempty word, if it lies in Z[phi].
-
-    A word acts as z -> phi**k z + beta.  For k != 0 the fixed point is
-    beta / (1 - phi**k), solved exactly in the fraction field and kept
-    only when both coordinates are integral.  A pure translation
-    (k == 0, beta != 0) has no fixed point.
-    """
-    if not word.atoms:
-        raise ValueError("empty word: identity map, all points fixed")
-    k, beta = word.affine_parts()
-    if k == 0:
-        if beta.is_zero():
-            raise ValueError("degenerate word: identity map, all points fixed")
-        return None
-    den = ONE - phi_pow(k)
-    num = beta * den.conj()
-    nrm = den.norm()
-    if num.a % nrm == 0 and num.b % nrm == 0:
-        return GoldInt(num.a // nrm, num.b // nrm)
-    return None

@@ -98,9 +98,7 @@ def is_subtree(child: FibTree, parent: FibTree, level_cap: int | None = None) ->
 
 
 def subtree_at(t: FibTree, w: MapWord) -> FibTree:
-    """The subtree reached by a forward word of L and R steps."""
-    if not w.is_forward():
-        raise ValueError(f"only L and R atoms descend to subtrees, got {w}")
+    """The subtree reached by a word of L and R steps."""
     z = w.apply(t.gold())
     return FibTree(z.a, z.b)
 

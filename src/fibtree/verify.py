@@ -38,7 +38,7 @@ from itertools import islice, product
 
 from .algebra import scalar_mul, tree_sum
 from .fibword import U, V, letter_at, u_count, v_count, word
-from .goldring import ONE, PHI, Atom, GoldInt, MapWord, _apply_atom, _phi_log, _sign, fib, phi_pow
+from .goldring import ONE, PHI, Atom, GoldInt, MapWord, _phi_log, _sign, fib, phi_pow
 from .order import _never_meet, _word_to, is_subtree, least_upper_bound, self_containment, subtree_at
 from .represent import TreeClass, classify, count_occurrences, find_interval_level, find_sequence
 from .tree import FibTree, NodeRef, branch_sequence, build_levels, children_labels, node_label, parent_label, u_nodes
@@ -518,16 +518,21 @@ def check_order_map_consistency() -> list[dict]:
 
 
 def ancestor_rings(t: FibTree) -> Iterator[set[tuple[int, int]]]:
-    """A(0), A(1), ...: the (a, b) of W^-1(t) over all inverse words W of length <= r, built through GoldInt and `_apply_atom`.
+    """A(0), A(1), ...: the (a, b) of W^-1(t) over all inverse words W of length <= r.
 
-    Layer r lists the images of all 2^r inverse words of length r, as
-    int pairs, repeats included; A(r) is A(r - 1) with layer r added.
+    The inverses come from the ring: L(z) = phi*z - phi^2 and
+    R(z) = phi^2*z, with phi^-1 = phi - 1 and phi^-2 = 2 - phi, give for
+    z = a + b*phi
+        L^-1(z) = (z + phi^2)*phi^-1 = z*(phi - 1) + phi = (b - a) + (a + 1)*phi,
+        R^-1(z) = z*phi^-2 = z*(2 - phi) = (2a - b) + (b - a)*phi,
+    stepped here on int pairs.  Layer r lists the images of all 2^r
+    inverse words of length r, repeats included; A(r) is A(r - 1) with
+    layer r added.
     """
     layer, ring = [(t.a, t.b)], {(t.a, t.b)}
     while True:
         yield ring
-        images = (_apply_atom(atom, GoldInt(a, b)) for a, b in layer for atom in (Atom.LINV, Atom.RINV))
-        layer = [(z.a, z.b) for z in images]
+        layer = [step for a, b in layer for step in ((b - a, a + 1), (2 * a - b, b - a))]
         ring = ring.union(layer)
 
 

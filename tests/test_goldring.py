@@ -6,20 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibtree.goldring import (
-    PHI,
-    PHI_CUBED,
-    ZERO,
-    Atom,
-    GoldInt,
-    MapWord,
-    _phi_log,
-    fib,
-    fixed_point,
-    gold_sign,
-    phi_pow,
-)
-from fibtree.order import _conjugate_gap
+from fibtree.goldring import PHI, Atom, GoldInt, MapWord, _phi_log, fib, gold_sign, phi_pow
+from fibtree.order import _conjugate_gap, _inverse_steps
 from fibtree.tree import FibTree
 
 ints = st.integers(min_value=-(10**9), max_value=10**9)
@@ -28,6 +16,8 @@ atoms = st.sampled_from(list(Atom))
 words = st.builds(MapWord, st.tuples()) | st.builds(
     MapWord, st.lists(atoms, min_size=1, max_size=8).map(tuple)
 )
+ZERO = GoldInt(0, 0)
+PHI_CUBED = GoldInt(1, 2)
 
 
 def test_fib_small_and_negative():
@@ -59,13 +49,6 @@ def test_ring_laws(x, y, z):
     assert x + (-x) == ZERO
 
 
-@given(gold, gold)
-def test_norm_and_conj_multiplicative(x, y):
-    assert (x * y).conj() == x.conj() * y.conj()
-    assert (x * y).norm() == x.norm() * y.norm()
-    assert x * x.conj() == GoldInt(x.norm(), 0)
-
-
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=-40, max_value=40))
 def test_phi_pow_is_a_power(j, k):
     assert phi_pow(j) * phi_pow(k) == phi_pow(j + k)
@@ -91,8 +74,8 @@ def test_apply_map_anchors():
     assert MapWord((Atom.L,)).apply(PHI) == ZERO
     assert MapWord((Atom.R,)).apply(PHI) == PHI_CUBED
     assert MapWord((Atom.L,)).apply(PHI_CUBED) == PHI_CUBED
-    got = MapWord((Atom.LINV, Atom.RINV, Atom.RINV)).apply(GoldInt(-1, 2))
-    assert got == GoldInt(18, -10)
+    # the join of F[-1,2] and F[-3,5] holds F[-1,2] by L, then R, then R
+    assert MapWord((Atom.R, Atom.R, Atom.L)).apply(GoldInt(18, -10)) == GoldInt(-1, 2)
 
 
 def test_apply_map_atoms_act_right_to_left():
@@ -105,53 +88,33 @@ def test_apply_map_atoms_act_right_to_left():
 
 
 @given(words, gold)
-def test_inverse_word_round_trip(w, z):
-    assert w.inverse().apply(w.apply(z)) == z
-
-
-@given(words, gold)
 def test_affine_parts_agree_with_apply(w, z):
-    k, beta = w.affine_parts()
-    assert phi_pow(k) * z + beta == w.apply(z)
+    # every word acts as z -> phi^n*z + W(0), with n = #L + 2*#R: the level it descends
+    n = sum(1 if a is Atom.L else 2 for a in w.atoms)
+    assert w.apply(z) == phi_pow(n) * z + w.apply(ZERO)
 
 
 def test_affine_parts_of_each_atom():
-    # L(z) = phi*z - phi^2, R(z) = phi^2 * z, L^-1(z) = (z + phi^2)/phi = z/phi + phi, R^-1(z) = z/phi^2
-    assert MapWord((Atom.L,)).affine_parts() == (1, GoldInt(-1, -1))
-    assert MapWord((Atom.R,)).affine_parts() == (2, ZERO)
-    assert MapWord((Atom.LINV,)).affine_parts() == (-1, PHI)
-    assert MapWord((Atom.RINV,)).affine_parts() == (-2, ZERO)
-    assert MapWord(()).affine_parts() == (0, ZERO)
+    # L(z) = phi*z - phi^2 and R(z) = phi^2 * z; the empty word is the identity
+    for z in (ZERO, PHI, GoldInt(-7, 4), GoldInt(10**30, -3)):
+        assert MapWord((Atom.L,)).apply(z) == PHI * z - phi_pow(2)
+        assert MapWord((Atom.R,)).apply(z) == phi_pow(2) * z
+        assert MapWord(()).apply(z) == z
 
 
 def test_fixed_point_anchors():
-    assert fixed_point(MapWord((Atom.L,))) == PHI_CUBED
-    assert fixed_point(MapWord((Atom.R, Atom.R, Atom.R))) == ZERO
+    # the fixed points of the self-containment theorem: L fixes phi^3 = F[1,2], R fixes 0 = F[0,0]
+    assert MapWord((Atom.L,)).apply(PHI_CUBED) == PHI_CUBED
+    assert MapWord((Atom.R, Atom.R, Atom.R)).apply(ZERO) == ZERO
 
 
 def test_fixed_point_mixed_word_has_none():
-    assert fixed_point(MapWord((Atom.L, Atom.R))) is None
-    # brute-force cross-check: no lattice point is fixed
+    # brute force: L R fixes no lattice point
     w = MapWord((Atom.L, Atom.R))
     for a in range(-50, 51):
         for b in range(-50, 51):
             z = GoldInt(a, b)
             assert w.apply(z) != z
-
-
-def test_fixed_point_identity_word_raises():
-    with pytest.raises(ValueError, match="identity"):
-        fixed_point(MapWord((Atom.L, Atom.LINV)))
-    with pytest.raises(ValueError):
-        fixed_point(MapWord(()))
-
-
-def test_fixed_point_pure_translation_has_none():
-    # L L R^-1 keeps the phi-power at zero but translates
-    w = MapWord((Atom.L, Atom.L, Atom.RINV))
-    k, beta = w.affine_parts()
-    assert k == 0 and not beta.is_zero()
-    assert fixed_point(w) is None
 
 
 @settings(max_examples=30)
@@ -164,19 +127,23 @@ def test_commutator_is_constant(z, p, q):
 
 
 def test_word_tokens_and_str():
-    w = MapWord((Atom.L, Atom.RINV))
-    assert w.tokens() == ["L", "R^-1"]
+    w = MapWord((Atom.L, Atom.R))
+    assert w.tokens() == ["L", "R"]
+    assert str(w) == "L R"
     assert str(MapWord(())) == "<identity>"
 
 
 def test_all_atoms_are_lattice_bijections():
+    # L and R against the search's inverse steps, which give [L^-1(z), R^-1(z)] for a one-pair frontier
     points = [GoldInt(a, b) for a, b in product(range(-12, 13), repeat=2)]
-    for atom in Atom:
+    for i, atom in enumerate(Atom):
         w = MapWord((atom,))
         images = {w.apply(z) for z in points}
         assert len(images) == len(points)
         for z in points:
-            assert w.inverse().apply(w.apply(z)) == z
+            y = w.apply(z)
+            assert _inverse_steps([(y.a, y.b)])[i] == (z.a, z.b)
+            assert w.apply(GoldInt(*_inverse_steps([(z.a, z.b)])[i])) == z
 
 
 def _phi_log_cases(digits):

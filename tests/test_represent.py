@@ -41,11 +41,6 @@ def test_classify_boundaries_are_strict():
     assert classify(FibTree(2, -2)) is TreeClass.NONPOSITIVE_SIDE
 
 
-@pytest.mark.parametrize("lo,hi,want", [(-7, 5, 5), (0, 0, 0), (-100, 100, 12)])
-def test_find_interval_level_anchors(lo, hi, want):
-    assert find_interval_level(T01, lo, hi) == want
-
-
 def test_find_interval_level_monotone():
     base = find_interval_level(T01, -10, 10)
     for r in range(11, 40, 7):
