@@ -8,75 +8,46 @@ partial order, and the Wythoff array -- all in arbitrary-precision
 integer arithmetic, with no floating point anywhere in the core.
 """
 
-from .goldring import Atom, GoldInt, MapWord, fib, gold_sign, phi_pow
-from .wythoff import FibSeq, reference_index, u, u_inverse, v
-from .fibword import letter_at, u_count, v_count, word
-from .tree import (
-    FibTree,
-    LevelLabeling,
-    NodeRef,
-    branch_sequence,
-    build_levels,
-    children_labels,
-    level_interval,
-    node_label,
-    parent_label,
-    u_nodes,
-)
-from .algebra import scalar_mul, tree_sum
-from .represent import (
-    Occurrence,
-    TreeClass,
-    classify,
-    count_occurrences,
-    find_interval_level,
-    find_sequence,
-)
-from .order import SubtreeWitness, is_subtree, least_upper_bound, self_containment, subtree_at
-from .warray import hofstadter_g, hofstadter_levels, wythoff_array
+from importlib import import_module
+
+# Each public name by its home module.  A name is imported from there on
+# first access (PEP 562), so `import fibtree.cli` loads only the modules
+# the CLI imports.
+_HOMES = {
+    "goldring": ("Atom", "GoldInt", "MapWord", "fib", "gold_sign", "phi_pow"),
+    "wythoff": ("FibSeq", "reference_index", "u", "u_inverse", "v"),
+    "fibword": ("letter_at", "u_count", "v_count", "word"),
+    "tree": (
+        "FibTree",
+        "LevelLabeling",
+        "NodeRef",
+        "branch_sequence",
+        "build_levels",
+        "children_labels",
+        "level_interval",
+        "node_label",
+        "parent_label",
+        "u_nodes",
+    ),
+    "algebra": ("scalar_mul", "tree_sum"),
+    "represent": ("Occurrence", "TreeClass", "classify", "count_occurrences", "find_interval_level", "find_sequence"),
+    "order": ("SubtreeWitness", "is_subtree", "least_upper_bound", "self_containment", "subtree_at"),
+    "warray": ("hofstadter_g", "hofstadter_levels", "wythoff_array"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.9.0"
 
-__all__ = [
-    "Atom",
-    "FibSeq",
-    "FibTree",
-    "GoldInt",
-    "LevelLabeling",
-    "MapWord",
-    "NodeRef",
-    "Occurrence",
-    "SubtreeWitness",
-    "TreeClass",
-    "branch_sequence",
-    "build_levels",
-    "children_labels",
-    "classify",
-    "count_occurrences",
-    "fib",
-    "find_interval_level",
-    "find_sequence",
-    "gold_sign",
-    "hofstadter_g",
-    "hofstadter_levels",
-    "is_subtree",
-    "least_upper_bound",
-    "letter_at",
-    "level_interval",
-    "node_label",
-    "parent_label",
-    "phi_pow",
-    "reference_index",
-    "scalar_mul",
-    "self_containment",
-    "subtree_at",
-    "tree_sum",
-    "u",
-    "u_count",
-    "u_inverse",
-    "u_nodes",
-    "v",
-    "v_count",
-    "word",
-    "wythoff_array",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

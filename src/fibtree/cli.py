@@ -16,8 +16,9 @@ lists has a least value and a fixed cap, checked before any work, and
 every table it prints (`array`, `wythoff`, `hofstadter`, `tree` as json
 or dot) is refused past one output bound, decided from sizes before the
 largest value is built.  The searches decide with no `--cap`; one that
-is given bounds the levels scanned.  The oracles of `fibtree.verify`
-load on demand, only for the `verify` subcommand.
+is given bounds the levels scanned.  Modules load on demand: `order`,
+`represent` and `algebra` only in the handlers that call them, and the
+oracles of `fibtree.verify` only for the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -29,19 +30,17 @@ import sys
 from itertools import accumulate, count
 
 from . import __version__
-from .algebra import tree_sum
 from .fibword import MAX_WORD_LEVEL, U, word
 from .goldring import fib
-from .order import is_subtree, least_upper_bound, self_containment
-from .represent import classify, find_interval_level, find_sequence
 from .tree import FibTree, LevelLabeling, level_interval
 from .warray import hofstadter_g, hofstadter_levels, wythoff_array
 from .wythoff import FibSeq, u, v
 
 _SAFE_MAGNITUDE = 1 << 53
 
-# A join search miss doubles in time and memory with each level of depth: F[100,-37], F[-50,90]
-# took 0.18 s and 60 MiB peak RSS at depth 16, 0.9 s and 192 MiB at 18 (in process, Python 3.11, 2-vCPU host).
+# A join search miss doubles in time and memory with each level of depth.  F[13,104], F[104,117] is a miss
+# that the conjugate-gap certificate leaves open, so it runs the search to this cap: the `lub-search` row of
+# tests/test_budgets.py::test_argv_at_its_bound asserts it within its time and address-space limits.
 MAX_LUB_DEPTH = 16
 # `self-contain` prints depth(depth+1)/2 atoms for F[1,2]: 1.0-1.1 s and 68 MiB at depth 2000, 5.9 s and 334 MiB
 # at 5000 (as a process, Python 3.11, 2-vCPU host).
@@ -205,12 +204,16 @@ def _wythoff(args: argparse.Namespace) -> dict:
 
 @_command("sum", "add two trees", _ab("--t1"), _ab("--t2"))
 def _sum(args: argparse.Namespace) -> dict:
+    from .algebra import tree_sum
+
     t = tree_sum(FibTree(*args.t1), FibTree(*args.t2))
     return {"id": [t.a, t.b]}
 
 
 @_command("classify", "which side of the representing strip", _ab("--id"))
 def _classify(args: argparse.Namespace) -> dict:
+    from .represent import classify
+
     return {"class": classify(FibTree(*args.id)).value}
 
 
@@ -218,12 +221,16 @@ def _classify(args: argparse.Namespace) -> dict:
           _ab("--id"), _ab("--seq", "c,d"), _int("--cap", required=False))
 def _find_seq(args: argparse.Namespace) -> dict:
     cap = args.cap if args.cap is None else _within(args.cap, "--cap", 0)
+    from .represent import find_sequence
+
     occ = find_sequence(FibTree(*args.id), FibSeq(*args.seq), level_cap=cap)
     return {"level": occ.level, "pos": occ.pos, "pair": list(occ.pair), "shift": occ.shift, "primitive": occ.primitive}
 
 
 @_command("interval", "smallest level containing [lo..hi]", _ab("--id"), _int("--lo"), _int("--hi"))
 def _interval(args: argparse.Namespace) -> dict:
+    from .represent import find_interval_level
+
     return {"level": find_interval_level(FibTree(*args.id), args.lo, args.hi)}
 
 
@@ -231,6 +238,8 @@ def _interval(args: argparse.Namespace) -> dict:
           _ab("--child", "c,d"), _ab("--parent"), _int("--cap", required=False))
 def _subtree(args: argparse.Namespace) -> dict:
     cap = args.cap if args.cap is None else _within(args.cap, "--cap", 0)
+    from .order import is_subtree
+
     witness = is_subtree(FibTree(*args.child), FibTree(*args.parent), level_cap=cap)
     if witness is not None:
         witness = {"level": witness.level, "pos": witness.pos, "word": witness.word.tokens()}
@@ -240,12 +249,16 @@ def _subtree(args: argparse.Namespace) -> dict:
 @_command("self-contain", "forward words fixing a tree", _ab("--id"), _int("--depth", 10))
 def _self_contain(args: argparse.Namespace) -> dict:
     depth = _within(args.depth, "--depth", 1, MAX_SELF_CONTAIN_DEPTH, "self-containment")
+    from .order import self_containment
+
     return {"depth": depth, "words": [w.tokens() for w in self_containment(FibTree(*args.id), depth)]}
 
 
 @_command("lub", "minimal common ancestors within a depth", _ab("--t1"), _ab("--t2"), _int("--depth", 10))
 def _lub(args: argparse.Namespace) -> dict:
     depth = _within(args.depth, "--depth", 1, MAX_LUB_DEPTH, "join search")
+    from .order import least_upper_bound
+
     found = least_upper_bound(FibTree(*args.t1), FibTree(*args.t2), depth)
     return {"depth": depth, "lub": [[t.a, t.b] for t in found]}
 

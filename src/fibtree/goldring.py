@@ -9,9 +9,9 @@ tree to its subtrees, are affine maps of the coefficient lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 
 
 # Bounded: one doubling chain holds about log2(n) entries, and the `searches` replay leaves 155; unbounded,
@@ -46,12 +46,58 @@ def fib(n: int) -> int:
     return _fib_signed(n)[0]
 
 
-@dataclass(frozen=True)
-class GoldInt:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's value types: immutable records whose fields are their `__slots__`.
+
+    Two records are equal when they have the same class and equal fields,
+    so GoldInt(1, 2) != FibTree(1, 2); the hash is that of the field
+    tuple, the repr reads `FibTree(a=1, b=2)`, and assigning or deleting
+    a field raises AttributeError.  Each subclass writes its own
+    `__init__`, setting its fields through `_set`: a generic one would
+    cost several times as much per construction.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        key = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value; the key is always the field tuple
+        cls._key = staticmethod(key if len(cls.__slots__) > 1 else lambda x: (key(x),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since the fields cannot be assigned
+        return self.__class__, self._key(self)
+
+
+class GoldInt(_Record):
     """The ring element a + b*phi."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __add__(self, other: GoldInt) -> GoldInt:
         return GoldInt(self.a + other.a, self.b + other.b)
@@ -167,15 +213,17 @@ def _apply_atom(atom: Atom, z: GoldInt) -> GoldInt:
     return GoldInt(a + b, a + 2 * b)
 
 
-@dataclass(frozen=True)
-class MapWord:
+class MapWord(_Record):
     """A finite composition of L and R, the descent from a tree to one of its subtrees.
 
     Atoms compose like functions: the rightmost atom acts first.  The
     empty word is the identity.
     """
 
-    atoms: tuple[Atom, ...] = ()
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[Atom, ...] = ()) -> None:
+        _set(self, "atoms", atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -33,21 +33,21 @@ larger tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .goldring import Atom, MapWord, _fib_pair, _phi_log, _sign
+from .goldring import Atom, MapWord, _fib_pair, _phi_log, _Record, _set, _sign
 from .represent import first_witness
 from .tree import FibTree
 
 
-@dataclass(frozen=True)
-class SubtreeWitness:
+class SubtreeWitness(_Record):
     """Location of the guest's root inside the host, plus the map word
     sending the host identity to the guest identity."""
 
-    level: int
-    pos: int
-    word: MapWord
+    __slots__ = ("level", "pos", "word")
+
+    def __init__(self, level: int, pos: int, word: MapWord) -> None:
+        _set(self, "level", level)
+        _set(self, "pos", pos)
+        _set(self, "word", word)
 
 
 def _word_to(level: int, pos: int) -> MapWord:

@@ -33,10 +33,9 @@ stabilization point, `verify.verify_lemma_shift`, is an oracle.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
-from .goldring import _phi_log, _sign
+from .goldring import _phi_log, _Record, _set, _sign
 from .fibword import U
 from .tree import FibTree, _edges, u_nodes
 from .wythoff import FibSeq, reference_index
@@ -54,8 +53,7 @@ class TreeClass(Enum):
     POSITIVE_SIDE = "PositiveSide"
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(_Record):
     """A branch realizing a target sequence.
 
     The u-node at (level, pos) carries pair[0]; its v-child carries
@@ -63,11 +61,14 @@ class Occurrence:
     ``shift`` on.
     """
 
-    level: int
-    pos: int
-    pair: tuple[int, int]
-    shift: int
-    primitive: bool
+    __slots__ = ("level", "pos", "pair", "shift", "primitive")
+
+    def __init__(self, level: int, pos: int, pair: tuple[int, int], shift: int, primitive: bool) -> None:
+        _set(self, "level", level)
+        _set(self, "pos", pos)
+        _set(self, "pair", pair)
+        _set(self, "shift", shift)
+        _set(self, "primitive", primitive)
 
 
 def classify(t: FibTree) -> TreeClass:

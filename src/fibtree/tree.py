@@ -17,21 +17,22 @@ compare the closed forms against.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .goldring import GoldInt, _fib_signed
+from .goldring import GoldInt, _fib_signed, _Record, _set
 from .fibword import MAX_WORD_LEVEL, U, V, letter_at, u_count
 
 # One rules-built node: (label, letter, 1-based parent position or None).
 LevelNode = tuple[int, str, int | None]
 
 
-@dataclass(frozen=True)
-class FibTree:
+class FibTree(_Record):
     """Tree with root label a and first-level labels b-1, b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def gold(self) -> GoldInt:
         return GoldInt(self.a, self.b)
@@ -59,21 +60,25 @@ def _edges(t: FibTree, n: int) -> tuple[int, int, int, int]:
     return h0 - f - g, h0, h1 - f - 2 * g, h1
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(_Record):
     """Address of one node: level n >= 0 and 1-based position within the level."""
 
-    level: int
-    pos: int
+    __slots__ = ("level", "pos")
+
+    def __init__(self, level: int, pos: int) -> None:
+        _set(self, "level", level)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class LevelLabeling:
+class LevelLabeling(_Record):
     """Closed-form label interval lo..hi of level n; its letters are `word(n)`."""
 
-    n: int
-    lo: int
-    hi: int
+    __slots__ = ("n", "lo", "hi")
+
+    def __init__(self, n: int, lo: int, hi: int) -> None:
+        _set(self, "n", n)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
 def level_interval(t: FibTree, n: int) -> LevelLabeling:

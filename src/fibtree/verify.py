@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple
 from decimal import Decimal, localcontext
 from itertools import islice, product
 
@@ -699,7 +698,7 @@ def check_gold_sign_oracle() -> list[dict]:
     return [
         _fail("phi-log", f"z = {z}, w = {w}: {got}, but the least power is phi^{m}")
         for z, w in product(positive, repeat=2)
-        for m in [next(k for k in range(-12, 13) if gold_sign_oracle(*astuple(powers[k] * z - w)) >= 0)]
+        for m in [next(k for k in range(-12, 13) for x in [powers[k] * z - w] if gold_sign_oracle(x.a, x.b) >= 0)]
         if (got := _phi_log(z.a, z.b, w.a, w.b)) != (m, powers[m].a, powers[m].b)
     ]
 

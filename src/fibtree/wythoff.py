@@ -9,10 +9,9 @@ n != 0, so floor((n + sqrt(5 n^2)) / 2) is exact and unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
-from .goldring import _fib_signed, _phi_log, _sign
+from .goldring import _fib_signed, _phi_log, _Record, _set, _sign
 
 
 def u(n: int) -> int:
@@ -48,12 +47,14 @@ def u_inverse(y: int) -> int | None:
     return -m if m is not None and m >= 1 else None
 
 
-@dataclass(frozen=True)
-class FibSeq:
+class FibSeq(_Record):
     """A bidirectional Fibonacci sequence seeded by its index-0 and index-1 terms."""
 
-    c: int
-    d: int
+    __slots__ = ("c", "d")
+
+    def __init__(self, c: int, d: int) -> None:
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def term(self, n: int) -> int:
         """Term at any integer index: c*F_{n-1} + d*F_n."""

@@ -256,6 +256,7 @@ def test_output_bound_counts_rows_numbers_and_digits(monkeypatch, capsys, argv, 
 
 def test_self_contain_depth_cap(monkeypatch, capsys):
     import fibtree.cli
+    import fibtree.order
 
     assert fibtree.cli.MAX_SELF_CONTAIN_DEPTH == 2000
     code, out = run_json(capsys, ["self-contain", "--id", "1,2", "--depth", "2000"])
@@ -264,7 +265,7 @@ def test_self_contain_depth_cap(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("self_containment ran past its cap")
 
-    monkeypatch.setattr(fibtree.cli, "self_containment", unreachable)
+    monkeypatch.setattr(fibtree.order, "self_containment", unreachable)
     code = run(["self-contain", "--id", "1,2", "--depth", "2001"])
     captured = capsys.readouterr()
     assert code == 1
@@ -314,6 +315,7 @@ def test_verify_negative_max_level_names_the_flag(monkeypatch, capsys, suite):
 
 def test_lub_depth_cap(monkeypatch, capsys):
     import fibtree.cli
+    import fibtree.order
 
     assert fibtree.cli.MAX_LUB_DEPTH <= 18
     t = ["--t1", "4,-3", "--t2", "4,-3"]
@@ -323,7 +325,7 @@ def test_lub_depth_cap(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("the join search ran past its cap")
 
-    monkeypatch.setattr(fibtree.cli, "least_upper_bound", unreachable)
+    monkeypatch.setattr(fibtree.order, "least_upper_bound", unreachable)
     code = run(["lub", *t, "--depth", str(fibtree.cli.MAX_LUB_DEPTH + 1)])
     captured = capsys.readouterr()
     assert code == 1
@@ -620,23 +622,28 @@ def test_pinned_output(capsys, argv, code, stdout):
 
 
 def test_oracles_load_only_for_verify():
+    # Each subcommand loads only the modules its handler calls: `g` none of these, `classify` only
+    # `represent`, `verify` the oracles.  Run under -S, so that no site hook loads any of them first.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     probe = textwrap.dedent(
         """
         import contextlib, io, sys
         import fibtree.cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            print(fibtree.cli.run(["classify", "--id", "0,1"]), file=sys.stderr)
-        print(sorted({"fibtree.verify", "decimal"} & set(sys.modules)))
-        with contextlib.redirect_stdout(io.StringIO()):
-            print(fibtree.cli.run(["verify", "--suite", "group"]), file=sys.stderr)
-        print("fibtree.verify" in sys.modules)
+        LAZY = ["dataclasses", "decimal", "fibtree.algebra", "fibtree.order", "fibtree.represent", "fibtree.verify"]
+        for argv in (["g", "--n", "5"], ["classify", "--id", "0,1"], ["verify", "--suite", "group"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                print(fibtree.cli.run(argv), file=sys.stderr)
+            print(*[m for m in LAZY if m in sys.modules])
         """
     )
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stderr) == (0, "0\n0\n")
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "0\n0\n0\n")
+    assert proc.stdout.splitlines() == [
+        "",
+        "fibtree.represent",
+        "decimal fibtree.algebra fibtree.order fibtree.represent fibtree.verify",
+    ]
 
 
 def test_suite_choices_match_verify():

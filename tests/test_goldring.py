@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibtree.goldring import PHI, Atom, GoldInt, MapWord, _phi_log, fib, gold_sign, phi_pow
-from fibtree.order import _conjugate_gap, _inverse_steps
-from fibtree.tree import FibTree
+from fibtree.order import SubtreeWitness, _conjugate_gap, _inverse_steps
+from fibtree.represent import Occurrence
+from fibtree.tree import FibTree, LevelLabeling, NodeRef
+from fibtree.wythoff import FibSeq
 
 ints = st.integers(min_value=-(10**9), max_value=10**9)
 gold = st.builds(GoldInt, ints, ints)
@@ -24,6 +28,59 @@ def test_fib_small_and_negative():
     assert [fib(n) for n in range(10)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
     assert [fib(-n) for n in range(1, 7)] == [1, -1, 2, -3, 5, -8]
     assert fib(93) > 2**63  # sweeps must stay exact past machine words
+
+
+# The library's value types, each with its fields by keyword and its pinned repr.
+RECORDS = [
+    (GoldInt, {"a": 1, "b": 2}, "GoldInt(a=1, b=2)"),
+    (MapWord, {"atoms": (Atom.L, Atom.R)}, "MapWord(atoms=(<Atom.L: 'L'>, <Atom.R: 'R'>))"),
+    (FibTree, {"a": 1, "b": 2}, "FibTree(a=1, b=2)"),
+    (NodeRef, {"level": 3, "pos": 4}, "NodeRef(level=3, pos=4)"),
+    (LevelLabeling, {"n": 2, "lo": -1, "hi": 1}, "LevelLabeling(n=2, lo=-1, hi=1)"),
+    (FibSeq, {"c": 1, "d": 2}, "FibSeq(c=1, d=2)"),
+    (
+        Occurrence,
+        {"level": 1, "pos": 2, "pair": (3, 5), "shift": -1, "primitive": True},
+        "Occurrence(level=1, pos=2, pair=(3, 5), shift=-1, primitive=True)",
+    ),
+    (
+        SubtreeWitness,
+        {"level": 2, "pos": 3, "word": MapWord((Atom.R,))},
+        "SubtreeWitness(level=2, pos=3, word=MapWord(atoms=(<Atom.R: 'R'>,)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_value_type_contract(cls, fields, text):
+    x = cls(**fields)
+    assert repr(x) == text
+    for y in (cls(*fields.values()), copy.copy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and not y != x and y is not x
+        assert hash(y) == hash(x) == hash(tuple(fields.values()))
+    name, value = next(iter(fields.items()))
+    assert x != cls(**{**fields, name: (value, value)})
+    for attr in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    assert not hasattr(x, "__dict__")
+    assert repr(x) == text  # the refused assignments changed nothing
+
+
+def test_value_types_equal_only_within_their_type():
+    xs = [GoldInt(1, 2), FibTree(1, 2), FibSeq(1, 2)]
+    assert [x == y for x in xs for y in xs] == [x is y for x in xs for y in xs]
+    assert all(x != (1, 2) for x in xs)
+    assert len(set(xs)) == 3
+    assert MapWord() == MapWord(()) and len(MapWord()) == 0
+    assert len(MapWord((Atom.L, Atom.R, Atom.R))) == 3
+
+
+def test_scalar_mul_and_str():
+    assert GoldInt(1, 2) * 3 == 3 * GoldInt(1, 2) == GoldInt(3, 6)
+    assert str(GoldInt(3, -2)) == "3-2*phi" and str(GoldInt(0, 5)) == "0+5*phi"
 
 
 def test_mul_phi_square():

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import astuple
 from itertools import count, islice, product
 
 import pytest
@@ -427,8 +426,8 @@ def test_inverse_steps_are_the_ring_inverses():
     pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
     pairs += [(rng.randint(-10**1000, 10**1000), rng.randint(-10**1000, 10**1000)) for _ in range(10)]
     zs = [GoldInt(a, b) for a, b in pairs]
-    linv = [astuple((z + phi_pow(2)) * phi_pow(-1)) for z in zs]
-    rinv = [astuple(z * phi_pow(-2)) for z in zs]
+    linv = [(x.a, x.b) for x in ((z + phi_pow(2)) * phi_pow(-1) for z in zs)]
+    rinv = [(x.a, x.b) for x in (z * phi_pow(-2) for z in zs)]
     for pair, li, ri in zip(pairs, linv, rinv):
         assert _inverse_steps([pair]) == [li, ri]
     assert _inverse_steps(pairs) == linv + rinv  # every L^-1 image, then every R^-1 image, in frontier order
