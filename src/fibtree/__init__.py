@@ -36,7 +36,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = sorted(_HOME)
 

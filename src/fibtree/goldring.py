@@ -108,16 +108,12 @@ class GoldInt(_Record):
     def __neg__(self) -> GoldInt:
         return GoldInt(-self.a, -self.b)
 
-    def __mul__(self, other: GoldInt | int) -> GoldInt:
-        if isinstance(other, int):
-            return GoldInt(self.a * other, self.b * other)
+    def __mul__(self, other: GoldInt) -> GoldInt:
         # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi
         return GoldInt(
             self.a * other.a + self.b * other.b,
             self.a * other.b + self.b * other.a + self.b * other.b,
         )
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}*phi"
@@ -224,9 +220,6 @@ class MapWord(_Record):
 
     def __init__(self, atoms: tuple[Atom, ...] = ()) -> None:
         _set(self, "atoms", atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     def apply(self, z: GoldInt) -> GoldInt:
         for atom in reversed(self.atoms):

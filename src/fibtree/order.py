@@ -19,16 +19,14 @@ the levels scanned.  `self_containment` is the theorem itself: only
 F[1,2] and F[0,0] contain themselves, by the powers of L and of R.
 
 `least_upper_bound` enumerates the inverse-map ancestors of both trees,
-up to 2^(r+1) bare int pairs per tree at radius r, so a search that runs
-doubles its cost with each level of depth (a miss took about 1.5 ms at
-depth 10 and 30 ms at depth 14).  Most pairs with no common ancestor
-never run it: a conjugate-gap certificate, one `goldring._phi_log` and
-O(1) more big-int operations at any label size, proves that the two
-trees meet at no radius, and the empty answer is then a proof.  Otherwise the search returns the
-containment-minimal trees of the first radius where the two ancestor
-sets meet; an empty result from it bounds the search, it proves
-nothing, and for a comparable pair that radius can stop short of the
-larger tree.
+up to 2^(r+1) bare int pairs per tree at radius r.  Most pairs with no
+common ancestor never run it: a conjugate-gap certificate, one
+`goldring._phi_log` and O(1) more big-int operations at any label size,
+proves that the two trees meet at no radius, and the empty answer is
+then a proof.  Otherwise the search returns the containment-minimal
+trees of the first radius where the two ancestor sets meet; an empty
+result from it bounds the search, it proves nothing, and for a
+comparable pair that radius can stop short of the larger tree.
 """
 
 from __future__ import annotations
@@ -213,8 +211,7 @@ def least_upper_bound(t1: FibTree, t2: FibTree, depth: int) -> list[FibTree]:
     L^-4 and R^-3 images are both F[1,-2].  The frontier at radius d
     holds exactly 2^d pairs, so a tree's search steps fewer than 2^(d+1)
     pairs in all, and A(d) holds up to 2^(d+1) identities: the cost
-    doubles with each level of depth (a miss took about 1.5 ms at depth
-    10 and 30 ms at depth 14).
+    doubles with each level of depth.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -2,11 +2,13 @@
 
 Every check returns a list of failure records (empty means pass), so the
 CLI can emit one machine-readable report and a nonzero exit code on any
-failure.  The structural facts are all exact; no tolerances anywhere.
-The decimal oracles here are the one sanctioned use of approximate
-golden-ratio values: a 50-digit scaled integer, cross-derived from the
-stdlib decimal square root rather than from the integer-sqrt path used
-by the library itself.
+failure.  A check is written as a generator body under `_check`: it
+yields one (record, detail) pair per failure, and returns where the
+check stops early.  The structural facts are all exact; no tolerances
+anywhere.  The decimal oracles here are the one sanctioned use of
+approximate golden-ratio values: a 50-digit scaled integer,
+cross-derived from the stdlib decimal square root rather than from the
+integer-sqrt path used by the library itself.
 
 The library computes each fact by one closed form and never re-checks
 it; the second route to each fact lives here, in the check for it.
@@ -31,8 +33,9 @@ code it checks: none of them names that code.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, localcontext
+from functools import wraps
 from itertools import islice, product
 
 from .algebra import scalar_mul, tree_sum
@@ -70,14 +73,21 @@ def gold_sign_oracle(a: int, b: int) -> int:
     return (val > 0) - (val < 0)
 
 
-def _fail(check: str, detail: str) -> dict:
-    return {"check": check, "detail": detail}
+def _check(body: Callable[..., Iterator[tuple[str, str]]]) -> Callable[..., list[dict]]:
+    """The check that lists its body's (record, detail) pairs, in order, as {"check": record, "detail": detail} records."""
+
+    @wraps(body)
+    def check(*args, **kwargs) -> list[dict]:
+        return [{"check": record, "detail": detail} for record, detail in body(*args, **kwargs)]
+
+    return check
 
 
 # ---------------------------------------------------------------- labels
 
 
-def check_consecutive_labels(max_level: int = 20) -> list[dict]:
+@_check
+def check_consecutive_labels(max_level: int = 20) -> Iterator[tuple[str, str]]:
     """Rule-built levels 0..max_level of the 121 trees with |a|, |b| <= 5 equal the closed-form intervals exactly.
 
     Also checks that node_label's interval form lo + pos - 1 equals the
@@ -87,14 +97,13 @@ def check_consecutive_labels(max_level: int = 20) -> list[dict]:
     position's letter comes from the concatenation word, not from
     `letter_at`, which is itself defined by the u-branch's equation.
     """
-    failures = []
     for pos, letter in enumerate(word(max_level), 1):
         if letter == U:
             via_wythoff = u(u_count(pos))
         else:
             via_wythoff = v(v_count(pos))
         if via_wythoff != pos:
-            failures.append(_fail("wythoff-labels", f"position {pos}: Wythoff form gives {via_wythoff}"))
+            yield "wythoff-labels", f"position {pos}: Wythoff form gives {via_wythoff}"
             break
     for a, b in product(range(-5, 6), repeat=2):
         t = FibTree(a, b)
@@ -102,72 +111,64 @@ def check_consecutive_labels(max_level: int = 20) -> list[dict]:
             labels = [node[0] for node in row]
             lo, hi = t.lo(n), t.hi(n)
             if labels != list(range(lo, hi + 1)):
-                failures.append(
-                    _fail("consecutive-labels", f"{t} level {n}: rules give {labels[:4]}.., interval [{lo}..{hi}]")
-                )
+                yield "consecutive-labels", f"{t} level {n}: rules give {labels[:4]}.., interval [{lo}..{hi}]"
             if "".join(node[1] for node in row) != word(n):
-                failures.append(_fail("level-pattern", f"{t} level {n}: pattern mismatch"))
-    return failures
+                yield "level-pattern", f"{t} level {n}: pattern mismatch"
 
 
-def check_worked_example() -> list[dict]:
+@_check
+def check_worked_example() -> Iterator[tuple[str, str]]:
     """The F[0,1] level-5 anchor: label -2 at position 6, parent -1, v-child -3."""
-    failures = []
     t = FibTree(0, 1)
     ref = NodeRef(5, 6)
     got = node_label(t, ref)
     if got != (-2, U):
-        failures.append(_fail("example-node", f"node (5,6) gave {got}, want (-2, u)"))
+        yield "example-node", f"node (5,6) gave {got}, want (-2, u)"
     if parent_label(t, ref) != -1:
-        failures.append(_fail("example-parent", f"parent gave {parent_label(t, ref)}"))
+        yield "example-parent", f"parent gave {parent_label(t, ref)}"
     kids = children_labels(t, ref)
     if kids != [(-4, U), (-3, V)]:
-        failures.append(_fail("example-children", f"children gave {kids}"))
+        yield "example-children", f"children gave {kids}"
     if t.lo(5) != -7 or t.hi(5) != 5:
-        failures.append(_fail("example-interval", f"level 5 is [{t.lo(5)}..{t.hi(5)}]"))
-    return failures
+        yield "example-interval", f"level 5 is [{t.lo(5)}..{t.hi(5)}]"
 
 
 # --------------------------------------------------------------- wythoff
 
 
-def check_table_fixture() -> list[dict]:
-    failures = []
+@_check
+def check_table_fixture() -> Iterator[tuple[str, str]]:
     for rank, uu, vv in zip(TABLE_RANKS, TABLE_U, TABLE_V):
         if u(rank) != uu or v(rank) != vv:
-            failures.append(
-                _fail("pair-table", f"rank {rank}: got ({u(rank)},{v(rank)}), want ({uu},{vv})")
-            )
-    return failures
+            yield "pair-table", f"rank {rank}: got ({u(rank)},{v(rank)}), want ({uu},{vv})"
 
 
-def check_wythoff_identities() -> list[dict]:
+@_check
+def check_wythoff_identities() -> Iterator[tuple[str, str]]:
     """v = u + n and v = u(u(n)) + 1 on |n| <= 10^4; Beatty floor vs decimal oracle on 1 <= |n| <= 10^6."""
-    failures = []
     for n in range(-10**4, 10**4 + 1):
         un = u(n)
         if v(n) != un + n:
-            failures.append(_fail("v-from-u", f"n={n}"))
+            yield "v-from-u", f"n={n}"
             break
         if v(n) != u(un) + 1:
-            failures.append(_fail("v-from-uu", f"n={n}"))
+            yield "v-from-uu", f"n={n}"
             break
     for n in range(1, 10**4 + 1):
         if u(-n) != -u(n) - 1 or v(-n) != -v(n) - 1:
-            failures.append(_fail("reflection", f"n={n}"))
+            yield "reflection", f"n={n}"
             break
     for n in range(1, 10**6 + 1):
         if u(n) != beatty_oracle(n) or u(-n) != beatty_oracle(-n):
-            failures.append(_fail("beatty-oracle", f"n={n}: u={u(n)} oracle={beatty_oracle(n)}"))
+            yield "beatty-oracle", f"n={n}: u={u(n)} oracle={beatty_oracle(n)}"
             break
-    return failures
 
 
-def check_complementarity() -> list[dict]:
+@_check
+def check_complementarity() -> Iterator[tuple[str, str]]:
     """Each positive integer <= 10^5 is hit by exactly one of u, v on positive ranks."""
     limit = 10**5
     seen = bytearray(limit + 1)
-    failures = []
     n = 1
     while True:
         hit = False
@@ -180,37 +181,35 @@ def check_complementarity() -> list[dict]:
         n += 1
     bad = [m for m in range(1, limit + 1) if seen[m] != 1]
     if bad:
-        failures.append(_fail("complementarity", f"first miscovered: {bad[:5]}"))
-    return failures
+        yield "complementarity", f"first miscovered: {bad[:5]}"
 
 
 # ----------------------------------------------------------------- group
 
 
-def check_group_laws() -> list[dict]:
+@_check
+def check_group_laws() -> Iterator[tuple[str, str]]:
     """Commutativity, associativity, identity and inverse on 1,000 random triples, |a|, |b| <= 10^6, seed 20260808."""
-    failures = []
     rng = random.Random(20260808)
     zero = FibTree(0, 0)
     for _ in range(1000):
         t1, t2, t3 = (FibTree(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(3))
         if tree_sum(t1, t2) != tree_sum(t2, t1):
-            failures.append(_fail("commutativity", f"{t1} {t2}"))
+            yield "commutativity", f"{t1} {t2}"
         if tree_sum(tree_sum(t1, t2), t3) != tree_sum(t1, tree_sum(t2, t3)):
-            failures.append(_fail("associativity", f"{t1} {t2} {t3}"))
+            yield "associativity", f"{t1} {t2} {t3}"
         if tree_sum(t1, zero) != t1:
-            failures.append(_fail("identity", f"{t1}"))
+            yield "identity", f"{t1}"
         if tree_sum(t1, scalar_mul(-1, t1)) != zero:
-            failures.append(_fail("inverse", f"{t1}"))
-    return failures
+            yield "inverse", f"{t1}"
 
 
-def check_superposition() -> list[dict]:
+@_check
+def check_superposition() -> Iterator[tuple[str, str]]:
     """Rule-built levels added node by node, minus those of the base tree F[0,0], are the sum tree's.
 
     20 random pairs with |a|, |b| <= 50, seed 97, over levels 0..12.
     """
-    failures = []
     rng = random.Random(97)
     base = build_levels(FibTree(0, 0), 12)
     for _ in range(20):
@@ -221,20 +220,17 @@ def check_superposition() -> list[dict]:
             added = [x[0] + y[0] - z[0] for x, y, z in zip(built1[n], built2[n], base[n])]
             labels = [node[0] for node in summed[n]]
             if added != labels:
-                failures.append(
-                    _fail("superposition", f"superposition mismatch at level {n}: {added[:4]}.. vs {labels[:4]}..")
-                )
+                yield "superposition", f"superposition mismatch at level {n}: {added[:4]}.. vs {labels[:4]}.."
                 break
     if tree_sum(FibTree(0, 1), FibTree(1, 1)) != FibTree(1, 2):
-        failures.append(_fail("sum-anchor", "F[0,1] + F[1,1] != F[1,2]"))
-    return failures
+        yield "sum-anchor", "F[0,1] + F[1,1] != F[1,2]"
 
 
 # ----------------------------------------------------------- represent
 
 
-def check_classification() -> list[dict]:
-    failures = []
+@_check
+def check_classification() -> Iterator[tuple[str, str]]:
     anchors = [
         (FibTree(0, 1), TreeClass.REPRESENTS_Z),
         (FibTree(0, 0), TreeClass.NONPOSITIVE_SIDE),
@@ -242,7 +238,7 @@ def check_classification() -> list[dict]:
     ]
     for t, want in anchors:
         if classify(t) is not want:
-            failures.append(_fail("classify", f"{t} -> {classify(t)}, want {want}"))
+            yield "classify", f"{t} -> {classify(t)}, want {want}"
     # Both boundaries, a + b*phi = 0 at F[0,0] and = phi^3 at F[1,2], against the decimal oracle.
     for a in range(-60, 61):
         for b in range(-60, 61):
@@ -252,20 +248,19 @@ def check_classification() -> list[dict]:
             else:
                 want = TreeClass.POSITIVE_SIDE if high >= 0 else TreeClass.REPRESENTS_Z
             if classify(FibTree(a, b)) is not want:
-                failures.append(_fail("classify-grid", f"F[{a},{b}] -> {classify(FibTree(a, b))}, want {want}"))
-    return failures
+                yield "classify-grid", f"F[{a},{b}] -> {classify(FibTree(a, b))}, want {want}"
 
 
 SAMPLE_FULL_TREES = (FibTree(0, 1), FibTree(1, 1), FibTree(-1, 2), FibTree(1, 0))
 
 
-def check_find_sequence() -> list[dict]:
+@_check
+def check_find_sequence() -> Iterator[tuple[str, str]]:
     """Every seed |c|, |d| <= 10 is located in each sample tree, 10 branch terms replay, and its root is primitive.
 
     A primitive node is a u-node under a u-node: its parent's position
     u_count(pos) carries a u.
     """
-    failures = []
     for t in SAMPLE_FULL_TREES:
         for c, d in product(range(-10, 11), repeat=2):
             s = FibSeq(c, d)
@@ -273,35 +268,32 @@ def check_find_sequence() -> list[dict]:
                 occ = find_sequence(t, s)
                 got = branch_sequence(t, NodeRef(occ.level, occ.pos), 10)
             except ValueError as exc:
-                failures.append(_fail("find-sequence", f"{t} {s}: {exc}"))
+                yield "find-sequence", f"{t} {s}: {exc}"
                 continue
             want = [s.term(occ.shift + k) for k in range(10)]
             if got != want:
-                failures.append(_fail("find-sequence-replay", f"{t} {s}: {got} vs {want}"))
+                yield "find-sequence-replay", f"{t} {s}: {got} vs {want}"
             if not occ.primitive or letter_at(u_count(occ.pos)) != U:
-                failures.append(_fail("find-sequence-primitive", f"{t} {s}: node at {occ} is not primitive"))
-    return failures
+                yield "find-sequence-primitive", f"{t} {s}: node at {occ} is not primitive"
 
 
-def check_zero_occurrences() -> list[dict]:
+@_check
+def check_zero_occurrences() -> Iterator[tuple[str, str]]:
     """The zero sequence occurs once in each sample tree, counted over rule-built levels 0..15."""
-    failures = []
     for t in SAMPLE_FULL_TREES:
         n = count_occurrences(t, FibSeq(0, 0), 15)
         if n != 1:
-            failures.append(_fail("zero-count", f"{t}: {n} occurrences up to level 15"))
-    return failures
+            yield "zero-count", f"{t}: {n} occurrences up to level 15"
 
 
-def check_interval_levels() -> list[dict]:
-    failures = []
+@_check
+def check_interval_levels() -> Iterator[tuple[str, str]]:
     t = FibTree(0, 1)
     anchors = [((-7, 5), 5), ((0, 0), 0), ((-100, 100), 12)]
     for (lo, hi), want in anchors:
         got = find_interval_level(t, lo, hi)
         if got != want:
-            failures.append(_fail("interval-level", f"[{lo}..{hi}] -> {got}, want {want}"))
-    return failures
+            yield "interval-level", f"[{lo}..{hi}] -> {got}, want {want}"
 
 
 def primitive_pairs_in_tree(t: FibTree, n_max: int) -> list[tuple[tuple[int, int], int, int]]:
@@ -337,14 +329,14 @@ def verify_lemma_shift(s: FibSeq, i: int, n_max: int) -> int:
     return last_bad + 1
 
 
-def check_lemma_witnesses() -> list[dict]:
+@_check
+def check_lemma_witnesses() -> Iterator[tuple[str, str]]:
     """Shift-identity stabilization, and uniqueness of the zero-pair level; seed 11.
 
     The shift identity on 50 random seeds |c|, |d| <= 20 and shifts
     |i| <= 50 stabilizes by n = 30; each of 20 random RepresentsZ trees
     with |a|, |b| <= 50 holds the zero pair at one level of 1..40.
     """
-    failures = []
     rng = random.Random(11)
     done = 0
     while done < 50:
@@ -356,10 +348,10 @@ def check_lemma_witnesses() -> list[dict]:
         try:
             n1 = verify_lemma_shift(s, i, 30)
         except ValueError as exc:
-            failures.append(_fail("lemma-shift", f"{s} i={i}: {exc}"))
+            yield "lemma-shift", f"{s} i={i}: {exc}"
             continue
         if not 0 <= n1 <= 30:
-            failures.append(_fail("lemma-shift", f"{s} i={i}: n1={n1} out of range"))
+            yield "lemma-shift", f"{s} i={i}: n1={n1} out of range"
     done = 0
     while done < 20:
         t = FibTree(rng.randint(-50, 50), rng.randint(-50, 50))
@@ -374,8 +366,7 @@ def check_lemma_witnesses() -> list[dict]:
             and u(1 - edge.term(n - 2)) + edge.term(n - 1) == 0
         ]
         if len(hits) != 1:
-            failures.append(_fail("zero-level-unique", f"{t}: hits at {hits}"))
-    return failures
+            yield "zero-level-unique", f"{t}: hits at {hits}"
 
 
 # ------------------------------------------------------------------ order
@@ -417,7 +408,8 @@ def first_levels(nodes: Iterable[tuple[int, int, int, int, str]]) -> dict[tuple[
     return first
 
 
-def check_order_brute_force() -> list[dict]:
+@_check
+def check_order_brute_force() -> Iterator[tuple[str, str]]:
     """is_subtree, with no cap, agrees with scanning rule-built levels 1..12 for the witness node.
 
     Every decided witness among the 81 trees with |a|, |b| <= 4 sits at
@@ -428,7 +420,6 @@ def check_order_brute_force() -> list[dict]:
     label and the parent's letter.  The witness word of every u position
     is held against the upward walk, `word_by_upward_walk`.
     """
-    failures = []
     trees = [FibTree(a, b) for a, b in product(range(-4, 5), repeat=2)]
     # (level, pos, parent letter) of every u position: the same in every tree
     positions = [
@@ -440,7 +431,7 @@ def check_order_brute_force() -> list[dict]:
     for n, pos, _ in positions:
         got, want = _word_to(n, pos), word_by_upward_walk(n, pos)
         if got != want:
-            failures.append(_fail("witness-word", f"u-node ({n}, {pos}): word {got}, upward walk {want}"))
+            yield "witness-word", f"u-node ({n}, {pos}): word {got}, upward walk {want}"
     for parent in trees:
         scanned = list(u_nodes(parent, 12))
         closed = [
@@ -449,28 +440,24 @@ def check_order_brute_force() -> list[dict]:
         ]
         if scanned != closed:
             bad = next((x, y) for x, y in zip(scanned + [None], closed + [None]) if x != y)
-            failures.append(_fail("u-nodes", f"{parent}: scan gives {bad[0]}, closed form {bad[1]}"))
+            yield "u-nodes", f"{parent}: scan gives {bad[0]}, closed form {bad[1]}"
         first = first_levels(scanned)
         for child in trees:
             witness = is_subtree(child, parent)
             brute = 0 if child == parent else first.get((child.a, child.b - child.a))
             got = witness.level if witness else None
             if got != brute:
-                failures.append(
-                    _fail("subtree-brute", f"{child} in {parent}: decided {got}, brute {brute}")
-                )
-    return failures
+                yield "subtree-brute", f"{child} in {parent}: decided {got}, brute {brute}"
 
 
-def check_order_antisymmetry() -> list[dict]:
+@_check
+def check_order_antisymmetry() -> Iterator[tuple[str, str]]:
     """No two distinct trees of the 169 with |a|, |b| <= 6 contain each other."""
-    failures = []
     trees = [FibTree(a, b) for a, b in product(range(-6, 7), repeat=2)]
     contains = {(x, y): is_subtree(y, x) is not None for x, y in product(trees, repeat=2) if x != y}
     for x, y in product(trees, repeat=2):
         if x != y and contains[(x, y)] and contains[(y, x)]:
-            failures.append(_fail("antisymmetry", f"{x} and {y} mutually contained"))
-    return failures
+            yield "antisymmetry", f"{x} and {y} mutually contained"
 
 
 def fixing_words(t: FibTree, depth: int) -> list[MapWord]:
@@ -492,28 +479,26 @@ def fixing_words(t: FibTree, depth: int) -> list[MapWord]:
     return words
 
 
-def check_self_containment() -> list[dict]:
+@_check
+def check_self_containment() -> Iterator[tuple[str, str]]:
     """self_containment of the 169 trees with |a|, |b| <= 6 against `fixing_words` up to length 10."""
-    failures = []
     for a, b in product(range(-6, 7), repeat=2):
         want = fixing_words(FibTree(a, b), 10)
         got = self_containment(FibTree(a, b), 10)
         if got != want:
-            failures.append(_fail("self-containment", f"F[{a},{b}]: {len(got)} words, enumeration {len(want)}"))
-    return failures
+            yield "self-containment", f"F[{a},{b}]: {len(got)} words, enumeration {len(want)}"
 
 
-def check_order_map_consistency() -> list[dict]:
+@_check
+def check_order_map_consistency() -> Iterator[tuple[str, str]]:
     """Every forward word up to length 6 lands on an actual subtree of its source tree."""
-    failures = []
     for t in (FibTree(0, 1), FibTree(1, 0), FibTree(-1, 2), FibTree(2, -1)):
         for length in range(1, 7):
             for atoms in product((Atom.L, Atom.R), repeat=length):
                 w = MapWord(atoms)
                 child = subtree_at(t, w)
                 if is_subtree(child, t) is None:
-                    failures.append(_fail("map-consistency", f"{t} via {w} -> {child}"))
-    return failures
+                    yield "map-consistency", f"{t} via {w} -> {child}"
 
 
 def ancestor_rings(t: FibTree) -> Iterator[set[tuple[int, int]]]:
@@ -546,7 +531,8 @@ def nearest_common_ancestors(rings1: Iterable[set], rings2: Iterable[set]) -> li
     return [x for x in trees if not any(y != x and is_subtree(y, x) is not None for y in trees)]
 
 
-def check_lub() -> list[dict]:
+@_check
+def check_lub() -> Iterator[tuple[str, str]]:
     """Three documented joins, then every pair of the 49 trees with |a|, |b| <= 3; search depth 4.
 
     Each tree's `ancestor_rings` are built to radius 8.  At depth 4 the
@@ -555,39 +541,37 @@ def check_lub() -> list[dict]:
     `order._never_meet` decides must have disjoint rings at radius 8
     (`lub-never-meet`).
     """
-    failures = []
     depth, radius = 4, 8
     got = least_upper_bound(FibTree(-1, 2), FibTree(-3, 5), depth)
     if got != [FibTree(18, -10)]:
-        failures.append(_fail("lub", f"join of F[-1,2], F[-3,5]: {[str(t) for t in got]}"))
+        yield "lub", f"join of F[-1,2], F[-3,5]: {[str(t) for t in got]}"
     got = least_upper_bound(FibTree(0, 0), FibTree(1, 2), 2)
     if got != [FibTree(0, 1)]:
-        failures.append(_fail("lub", f"join of F[0,0], F[1,2]: {[str(t) for t in got]}"))
+        yield "lub", f"join of F[0,0], F[1,2]: {[str(t) for t in got]}"
     t = FibTree(4, -3)
     if least_upper_bound(t, t, depth) != [t]:
-        failures.append(_fail("lub-reflexive", f"{t}"))
+        yield "lub-reflexive", f"{t}"
     trees = [FibTree(a, b) for a, b in product(range(-3, 4), repeat=2)]
     rings = {t: list(islice(ancestor_rings(t), radius + 1)) for t in trees}
     for i, t1 in enumerate(trees):
         for t2 in trees[i:]:
             if _never_meet(t1, t2) and not rings[t1][radius].isdisjoint(rings[t2][radius]):
-                failures.append(_fail("lub-never-meet", f"{t1}, {t2}: decided apart, yet meet within radius {radius}"))
+                yield "lub-never-meet", f"{t1}, {t2}: decided apart, yet meet within radius {radius}"
     for i, t1 in enumerate(trees):
         for t2 in trees[i + 1 :]:
             want = nearest_common_ancestors(rings[t1][: depth + 1], rings[t2][: depth + 1])
             got = least_upper_bound(t1, t2, depth)
             if got != want:
-                failures.append(_fail("lub-oracle", f"join of {t1}, {t2}: {[str(t) for t in got]}"))
-                return failures
-    return failures
+                yield "lub-oracle", f"join of {t1}, {t2}: {[str(t) for t in got]}"
+                return
 
 
-def check_commutator() -> list[dict]:
+@_check
+def check_commutator() -> Iterator[tuple[str, str]]:
     """L^p R^q - R^q L^p is the constant phi^3 (phi^p - 1)(phi^2q - 1).
 
     For 0 <= p, q <= 6, at 100 random points |a|, |b| <= 10^6, seed 5.
     """
-    failures = []
     rng = random.Random(5)
     points = [GoldInt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(100)]
     one = GoldInt(1, 0)
@@ -597,45 +581,43 @@ def check_commutator() -> list[dict]:
         want = GoldInt(1, 2) * (phi_pow(p) - one) * (phi_pow(2 * q) - one)
         for z in points:
             if lr.apply(z) - rl.apply(z) != want:
-                failures.append(_fail("commutator", f"p={p} q={q} z={z}"))
+                yield "commutator", f"p={p} q={q} z={z}"
                 break
-    return failures
 
 
-def check_order_sum_incompatibility() -> list[dict]:
+@_check
+def check_order_sum_incompatibility() -> Iterator[tuple[str, str]]:
     """Containment does not survive tree addition: the standard counterexample."""
-    failures = []
     if is_subtree(FibTree(0, 0), FibTree(0, 1)) is None:
-        failures.append(_fail("sum-incompat", "F[0,0] not inside F[0,1]"))
+        yield "sum-incompat", "F[0,0] not inside F[0,1]"
     if is_subtree(FibTree(0, 0), FibTree(1, 1)) is None:
-        failures.append(_fail("sum-incompat", "F[0,0] not inside F[1,1]"))
+        yield "sum-incompat", "F[0,0] not inside F[1,1]"
     if is_subtree(FibTree(0, 0), FibTree(1, 2)) is not None:
-        failures.append(_fail("sum-incompat", "F[0,0] inside F[1,2]"))
-    return failures
+        yield "sum-incompat", "F[0,0] inside F[1,2]"
 
 
 # ------------------------------------------------------------------ array
 
 
-def check_hofstadter() -> list[dict]:
+@_check
+def check_hofstadter() -> Iterator[tuple[str, str]]:
     """The region's levels 0..10 read 1, 2, 3, ...; g by its recursion equals the closed form and the parent labels of F[1,2].
 
     The recursion g(n) = n - g(g(n-1)), for n <= 10^4, is built here
     bottom-up and never goes through `hofstadter_g` or the u-count it equals.
     """
-    failures = []
     g_max = 10**4
     flat = []
     for lo, hi in hofstadter_levels(10):
         flat.extend(range(lo, hi + 1))
     if flat != list(range(1, fib(12) + 1)):
-        failures.append(_fail("hofstadter-concat", "levels 0..10 misread"))
+        yield "hofstadter-concat", "levels 0..10 misread"
     recursion = [0]
     for n in range(1, g_max + 1):
         recursion.append(n - recursion[recursion[n - 1]])
     for n in range(g_max + 1):
         if hofstadter_g(n) != recursion[n]:
-            failures.append(_fail("g-closed-form", f"n={n}: {hofstadter_g(n)} vs recursion {recursion[n]}"))
+            yield "g-closed-form", f"n={n}: {hofstadter_g(n)} vs recursion {recursion[n]}"
             break
     t = FibTree(1, 2)
     for n in range(1, g_max + 1):
@@ -645,62 +627,59 @@ def check_hofstadter() -> list[dict]:
             m += 1
         for level in (m, m + 1):
             if parent_label(t, NodeRef(level, n)) != g:
-                failures.append(
-                    _fail("g-parent", f"n={n} level={level}: {parent_label(t, NodeRef(level, n))} vs g={g}")
-                )
+                yield "g-parent", f"n={n} level={level}: {parent_label(t, NodeRef(level, n))} vs g={g}"
                 break
-    return failures
 
 
-def check_wythoff_array() -> list[dict]:
+@_check
+def check_wythoff_array() -> Iterator[tuple[str, str]]:
     """The 40 x 10 array: first rows, distinct increasing entries, 1..100 covered, rows 1..10 as branches of F[1,2]."""
-    failures = []
     arr = wythoff_array(40, 10)
     if arr[0][:6] != (1, 2, 3, 5, 8, 13):
-        failures.append(_fail("array-row1", f"{arr[0][:6]}"))
+        yield "array-row1", f"{arr[0][:6]}"
     if arr[1][:5] != (4, 7, 11, 18, 29):
-        failures.append(_fail("array-row2", f"{arr[1][:5]}"))
+        yield "array-row2", f"{arr[1][:5]}"
     flat = [x for row in arr for x in row]
     if len(set(flat)) != len(flat):
-        failures.append(_fail("array-distinct", "duplicate entries"))
+        yield "array-distinct", "duplicate entries"
     for row in arr:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            failures.append(_fail("array-monotone", f"row {row[:3]}.."))
+            yield "array-monotone", f"row {row[:3]}.."
     starts = [row[0] for row in arr]
     if any(starts[i] >= starts[i + 1] for i in range(len(starts) - 1)):
-        failures.append(_fail("array-row-starts", "row starts not increasing"))
+        yield "array-row-starts", "row starts not increasing"
     missing = set(range(1, 101)) - set(flat)
     if missing:
-        failures.append(_fail("array-cover", f"missing {sorted(missing)[:5]}"))
+        yield "array-cover", f"missing {sorted(missing)[:5]}"
     t = FibTree(1, 2)
     for j in range(10):
         s = FibSeq(*arr[j][:2])
         try:
             occ = find_sequence(t, s)
         except ValueError as exc:
-            failures.append(_fail("array-as-branches", f"row {j + 1}: {exc}"))
+            yield "array-as-branches", f"row {j + 1}: {exc}"
             continue
         if occ.pair != arr[j][:2]:
-            failures.append(_fail("array-as-branches", f"row {j + 1}: pair {occ.pair}"))
-    return failures
+            yield "array-as-branches", f"row {j + 1}: pair {occ.pair}"
 
 
-def check_gold_sign_oracle() -> list[dict]:
+@_check
+def check_gold_sign_oracle() -> Iterator[tuple[str, str]]:
     """`goldring._sign`, the sign body behind `gold_sign`, `classify` and every search, on int pairs |a|, |b| <= 1000;
     `goldring._phi_log` on all positive z, w with coefficients in [-4, 4], against GoldInt powers of phi and the oracle."""
     for a, b in product(range(-1000, 1001), repeat=2):
         if _sign(a, b) != gold_sign_oracle(a, b):
-            return [_fail("gold-sign-oracle", f"{a}{b:+d}*phi")]
+            yield "gold-sign-oracle", f"{a}{b:+d}*phi"
+            return
     powers = {0: ONE}
     for k in range(1, 13):
         powers[k], powers[-k] = powers[k - 1] * PHI, powers[1 - k] * GoldInt(-1, 1)  # 1/phi = phi - 1
     positive = [GoldInt(a, b) for a, b in product(range(-4, 5), repeat=2) if gold_sign_oracle(a, b) > 0]
-    return [
-        _fail("phi-log", f"z = {z}, w = {w}: {got}, but the least power is phi^{m}")
-        for z, w in product(positive, repeat=2)
-        for m in [next(k for k in range(-12, 13) for x in [powers[k] * z - w] if gold_sign_oracle(x.a, x.b) >= 0)]
-        if (got := _phi_log(z.a, z.b, w.a, w.b)) != (m, powers[m].a, powers[m].b)
-    ]
+    for z, w in product(positive, repeat=2):
+        m = next(k for k in range(-12, 13) for x in [powers[k] * z - w] if gold_sign_oracle(x.a, x.b) >= 0)
+        got = _phi_log(z.a, z.b, w.a, w.b)
+        if got != (m, powers[m].a, powers[m].b):
+            yield "phi-log", f"z = {z}, w = {w}: {got}, but the least power is phi^{m}"
 
 
 # ------------------------------------------------------------------ suites

@@ -3,7 +3,8 @@
 Each row runs `python -m fibtree` as a child process under an address-space
 limit (set in the child only) and a timeout, asserts exit 0 and the size of
 its output, and asserts that the first argv past the bound exits 1 with one
-line on stderr.
+line on stderr.  A JSON output's size counts the envelope's `tool_version`,
+so a version string of another length moves it by the difference.
 """
 
 import os
@@ -32,7 +33,7 @@ def _fibtree(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("fmt, size", [("json", 17_077_036), ("dot", 22_139_659)])
+@pytest.mark.parametrize("fmt, size", [("json", 17_077_037), ("dot", 22_139_659)])
 def test_tree_dump_at_its_bound(fmt, size):
     # --levels 24: 317,808 nodes of F[0,1], about 130 MiB (json) and 100 MiB (dot) peak RSS
     proc = _fibtree("tree", "--id", "0,1", "--levels", "24", "--format", fmt)
@@ -52,14 +53,14 @@ def test_tree_dump_at_its_bound(fmt, size):
     "argv, size, past, err, timeout",
     [
         # 2,001,000 atoms in the words of F[1,2] at the depth cap: about 68 MiB peak RSS
-        ("self-contain --id 1,2 --depth 2000", 10_009_091, "self-contain --id 1,2 --depth 2001", "error: --depth 2001", 60),
+        ("self-contain --id 1,2 --depth 2000", 10_009_092, "self-contain --id 1,2 --depth 2001", "error: --depth 2001", 60),
         # 8,469 numbers of at most 590 digits, 4,996,710 by the output bound's count: about 23 MiB
-        ("hofstadter --levels 2822", 1_770_627, "hofstadter --levels 2823", "error: --levels 2823: labels", 60),
+        ("hofstadter --levels 2822", 1_770_628, "hofstadter --levels 2823", "error: --levels 2823: labels", 60),
         # a miss at the join search's depth cap, decided by the conjugate-gap certificate before any radius:
         # about 0.1 s and 16 MiB peak RSS
         (
             "lub --t1 100,-37 --t2 -50,90 --depth 16",
-            80,
+            81,
             "lub --t1 100,-37 --t2 -50,90 --depth 17",
             "error: --depth 17 exceeds the join search cap 16\n",
             60,
@@ -67,7 +68,7 @@ def test_tree_dump_at_its_bound(fmt, size):
         # a miss the certificate leaves open: the search runs all 16 radii, about 0.3 s and 60 MiB peak RSS
         (
             "lub --t1 13,104 --t2 104,117 --depth 16",
-            80,
+            81,
             "lub --t1 13,104 --t2 104,117 --depth 17",
             "error: --depth 17 exceeds the join search cap 16\n",
             60,
@@ -75,14 +76,14 @@ def test_tree_dump_at_its_bound(fmt, size):
         # the pair table and the array at the output bound: about 0.6 s and at most 117 MiB peak RSS each
         (
             "wythoff --from 0 --to 277776",
-            11_166_705,
+            11_166_706,
             "wythoff --from 0 --to 277777",
             "error: --from 0 --to 277777: pairs pass",
             10,
         ),
         (
             "array --rows 357142 --cols 2",
-            6_481_029,
+            6_481_030,
             "array --rows 357143 --cols 2",
             "error: --rows 357143 --cols 2: entries pass",
             10,

@@ -74,13 +74,20 @@ def test_value_types_equal_only_within_their_type():
     assert [x == y for x in xs for y in xs] == [x is y for x in xs for y in xs]
     assert all(x != (1, 2) for x in xs)
     assert len(set(xs)) == 3
-    assert MapWord() == MapWord(()) and len(MapWord()) == 0
-    assert len(MapWord((Atom.L, Atom.R, Atom.R))) == 3
+    assert MapWord() == MapWord(())
 
 
 def test_scalar_mul_and_str():
-    assert GoldInt(1, 2) * 3 == 3 * GoldInt(1, 2) == GoldInt(3, 6)
     assert str(GoldInt(3, -2)) == "3-2*phi" and str(GoldInt(0, 5)) == "0+5*phi"
+
+
+def test_gold_sign_check_stops_at_its_first_failure(monkeypatch):
+    from fibtree import verify
+
+    # every pair of the grid fails, and so would every phi-log case after it
+    monkeypatch.setattr(verify, "_sign", lambda a, b: 2)
+    monkeypatch.setattr(verify, "_phi_log", lambda za, zb, wa, wb: None)
+    assert verify.check_gold_sign_oracle() == [{"check": "gold-sign-oracle", "detail": "-1000-1000*phi"}]
 
 
 def test_mul_phi_square():

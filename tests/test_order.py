@@ -508,6 +508,19 @@ def test_lub_check_catches_an_unsound_certificate(monkeypatch):
     assert records[0]["detail"] == "F[-3,-3], F[-3,-3]: decided apart, yet meet within radius 8"
 
 
+def test_lub_check_stops_at_its_first_oracle_failure(monkeypatch):
+    from fibtree import verify
+
+    # an empty join fails the three documented joins, then every pair whose rings meet by radius 4
+    monkeypatch.setattr(verify, "least_upper_bound", lambda t1, t2, depth: [])
+    assert verify.check_lub() == [
+        {"check": "lub", "detail": "join of F[-1,2], F[-3,5]: []"},
+        {"check": "lub", "detail": "join of F[0,0], F[1,2]: []"},
+        {"check": "lub-reflexive", "detail": "F[4,-3]"},
+        {"check": "lub-oracle", "detail": "join of F[-3,-3], F[-3,-1]: []"},
+    ]
+
+
 def test_order_brute_force_check_catches_a_dropped_u_node(monkeypatch):
     from fibtree import verify
 

@@ -25,6 +25,25 @@ def test_identities_large(n):
         assert u(n) == beatty_oracle(n)
 
 
+def test_wythoff_identities_check_gives_at_most_one_record_per_loop(monkeypatch):
+    from fibtree import verify
+
+    # u off by one everywhere: each loop that reads u stops at its first n
+    monkeypatch.setattr(verify, "u", lambda n: u(n) + 1)
+    assert verify.check_wythoff_identities() == [
+        {"check": "v-from-u", "detail": "n=-10000"},
+        {"check": "reflection", "detail": "n=1"},
+        {"check": "beatty-oracle", "detail": "n=1: u=2 oracle=1"},
+    ]
+    # u off by one at m = u(10^4) alone: the first loop reads u(m) only as u(u(10^4)), the reflection loop never
+    m = u(10**4)
+    monkeypatch.setattr(verify, "u", lambda n: u(n) + (n == m))
+    assert verify.check_wythoff_identities() == [
+        {"check": "v-from-uu", "detail": "n=10000"},
+        {"check": "beatty-oracle", "detail": f"n={m}: u={u(m) + 1} oracle={u(m)}"},
+    ]
+
+
 def test_u_inverse_round_trip():
     for n in range(-500, 501):
         assert u_inverse(u(n)) == n

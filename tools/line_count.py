@@ -5,10 +5,12 @@
 A docstring line lies in the string that opens a module, class or function
 (found with `ast`); a comment line holds a comment and no code, and a code
 line holds any other token (found with `tokenize`).  Prints one row per file
-and a total.  Stdlib only.
+and a total; with no paths, or a path that is not a file, prints a one-line
+usage error and exits 2.  Stdlib only.
 """
 
 import ast
+import os
 import sys
 import tokenize
 
@@ -40,6 +42,11 @@ def split(path: str) -> dict[str, int]:
 
 
 def main(paths: list[str]) -> None:
+    bad = next((path for path in paths if not os.path.isfile(path)), None)
+    if not paths or bad is not None:
+        why = "no files given" if bad is None else f"not a file: {bad}"
+        print(f"usage: python tools/line_count.py FILE.py ... ({why})", file=sys.stderr)
+        sys.exit(2)
     total = dict.fromkeys(KINDS, 0)
     print(f"{'file':40} {'lines':>6} " + " ".join(f"{k:>9}" for k in KINDS))
     for path in paths:
